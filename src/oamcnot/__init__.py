@@ -8,130 +8,11 @@ Layers:
   composition must reduce to the CNOT matrix.
 * :mod:`oamcnot.wavefield` -- scalar wave optics: vortex modes, apertures,
   far-field propagation.
-* :mod:`oamcnot.readout` -- spot-lattice detection and charge classification.
+* :mod:`oamcnot.readout` -- the camera path: far-field image, spot-lattice
+  detection and charge classification.
 * :mod:`oamcnot.circuit` -- text format for circuits plus interpreters for
   both layers.
 * :mod:`oamcnot.cli` -- command-line reproductions and reports.
 """
 
-from .hybrid import (
-    CNOT_MATRIX,
-    HybridState,
-    PolarizationAxis,
-    basis_state,
-    bell_state,
-    cnot,
-    concurrence,
-    fidelity,
-    hadamard_pol,
-    project_polarization,
-)
-from .interferometer import (
-    ElementConfig,
-    PathState,
-    RoutingError,
-    compose_mzi,
-    inject_lower,
-    mirror_apply,
-    pbs_apply,
-    pentaprism_apply,
-    verify_cnot,
-)
-from .wavefield import (
-    ApertureSpec,
-    Grid,
-    OpticalParams,
-    ScalarField,
-    aperture_mask,
-    apply_mask,
-    far_field,
-    intensity,
-    lg_mode,
-    point_reflect,
-    power,
-)
-from .readout import (
-    AmbiguousOrientationError,
-    ClassificationError,
-    Peak,
-    PeakSet,
-    ReadoutError,
-    ReadoutResult,
-    classify_oam,
-    count_spots_per_side,
-    find_peaks,
-    readout_roundtrip,
-)
-from .circuit import (
-    Circuit,
-    CircuitError,
-    Detect,
-    Hwp,
-    MziCnot,
-    ParseError,
-    Polarizer,
-    Source,
-    TriangleAperture,
-    format_circuit,
-    parse,
-    run_logical,
-    run_wave,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CNOT_MATRIX",
-    "HybridState",
-    "PolarizationAxis",
-    "basis_state",
-    "bell_state",
-    "cnot",
-    "concurrence",
-    "fidelity",
-    "hadamard_pol",
-    "project_polarization",
-    "ElementConfig",
-    "PathState",
-    "RoutingError",
-    "compose_mzi",
-    "inject_lower",
-    "mirror_apply",
-    "pbs_apply",
-    "pentaprism_apply",
-    "verify_cnot",
-    "ApertureSpec",
-    "Grid",
-    "OpticalParams",
-    "ScalarField",
-    "aperture_mask",
-    "apply_mask",
-    "far_field",
-    "intensity",
-    "lg_mode",
-    "point_reflect",
-    "power",
-    "AmbiguousOrientationError",
-    "ClassificationError",
-    "Peak",
-    "PeakSet",
-    "ReadoutError",
-    "ReadoutResult",
-    "classify_oam",
-    "count_spots_per_side",
-    "find_peaks",
-    "readout_roundtrip",
-    "Circuit",
-    "CircuitError",
-    "Detect",
-    "Hwp",
-    "MziCnot",
-    "ParseError",
-    "Polarizer",
-    "Source",
-    "TriangleAperture",
-    "format_circuit",
-    "parse",
-    "run_logical",
-    "run_wave",
-]

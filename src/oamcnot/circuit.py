@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .hybrid import (
     project_polarization,
 )
 from .interferometer import ElementConfig, MODE_LABELS, PAPER_DEFAULT, compose_mzi
-from .readout import ReadoutResult, classify_oam, default_min_separation
+from .readout import DEFAULT_THRESHOLD_FRAC, ReadoutResult, read_image, render_image
 from .wavefield import (
     ApertureSpec,
     Grid,
@@ -42,9 +43,6 @@ from .wavefield import (
     ScalarField,
     TRIANGLE,
     aperture_mask,
-    apply_mask,
-    far_field,
-    intensity,
     lg_mode,
 )
 
@@ -130,6 +128,10 @@ class TriangleAperture:
     @property
     def orientation_rad(self) -> float:
         return math.radians(self.orientation_deg)
+
+    @property
+    def spec(self) -> ApertureSpec:
+        return ApertureSpec(TRIANGLE, self.side_m, self.orientation_rad)
 
 
 @dataclass(frozen=True)
@@ -421,7 +423,7 @@ def run_logical(circuit: Circuit) -> LogicalRun:
             amps = np.kron(_hwp_matrix(stmt.angle_deg), np.eye(2)) @ state.amplitudes
             state = HybridState(amps, state.oam_magnitude)
         elif isinstance(stmt, MziCnot):
-            matrix = compose_mzi(ElementConfig.from_mode(stmt.mode))
+            matrix = compose_mzi(ElementConfig(mode_label=stmt.mode))
             state = HybridState(matrix @ state.amplitudes, state.oam_magnitude)
         elif isinstance(stmt, Polarizer):
             axis = _AXIS_BY_LABEL[stmt.axis]
@@ -498,12 +500,24 @@ def synthesize_field(
     return ScalarField(samples, grid, params.wavelength)
 
 
+def render_outcomes(
+    run: LogicalRun, grid: Grid, params: OpticalParams, mask: np.ndarray | None
+) -> Iterator[tuple[PolarizationAxis, float, np.ndarray, Grid]]:
+    """Yield (axis, probability, camera image, far-field grid) for each
+    polarization outcome, one outcome at a time."""
+    for axis, probability in outcome_axes(run):
+        img, far_grid = render_image(
+            synthesize_field(run, axis, grid, params), mask, params.focal_length
+        )
+        yield axis, probability, img, far_grid
+
+
 def run_wave(
     circuit: Circuit,
     grid: Grid,
     params: OpticalParams,
     *,
-    threshold_frac: float = 0.3,
+    threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
 ) -> WaveRun:
     """Render each polarization outcome through aperture, lens, and readout."""
     aperture_stmt = circuit.first_of(TriangleAperture)
@@ -511,26 +525,14 @@ def run_wave(
         raise CircuitError(
             "wave-layer run needs both TRIAPERTURE and DETECT in the circuit"
         )
-    aperture = ApertureSpec(
-        TRIANGLE, aperture_stmt.side_m, aperture_stmt.orientation_rad
-    )
+    aperture = aperture_stmt.spec
     logical = run_logical(circuit)
     mask = aperture_mask(grid, aperture)
-
-    outcomes = []
-    for axis, probability in outcome_axes(logical):
-        field = synthesize_field(logical, axis, grid, params)
-        far = far_field(apply_mask(field, mask), params.focal_length)
-        img = intensity(far)
-        min_sep = default_min_separation(
-            params.wavelength, params.focal_length, aperture.size, far.grid.pitch
+    outcomes = tuple(
+        WaveOutcome(
+            axis, probability, img, far_grid,
+            read_image(img, far_grid, aperture, params, threshold_frac),
         )
-        readout = classify_oam(
-            img,
-            aperture,
-            far.grid,
-            threshold_frac=threshold_frac,
-            min_separation=min_sep,
-        )
-        outcomes.append(WaveOutcome(axis, probability, img, far.grid, readout))
-    return WaveRun(logical, aperture, tuple(outcomes))
+        for axis, probability, img, far_grid in render_outcomes(logical, grid, params, mask)
+    )
+    return WaveRun(logical, aperture, outcomes)

@@ -12,23 +12,26 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import circuit as dsl
 from .hybrid import basis_state, bell_state, concurrence, fidelity
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, STRICT_PARITY
-from .readout import ReadoutError, SIGN_UNDEFINED, readout_roundtrip
+from .readout import (
+    DEFAULT_THRESHOLD_FRAC,
+    ReadoutError,
+    SIGN_UNDEFINED,
+    readout_roundtrip,
+)
 from .wavefield import (
+    MAX_CHARGE,
     ApertureSpec,
     Grid,
     OpticalParams,
     TRIANGLE,
     aperture_mask,
-    apply_mask,
-    far_field,
-    intensity,
 )
 
 EXIT_OK = 0
@@ -50,7 +53,7 @@ class RunConfig:
     lambda_nm: float = 532.0
     focal_cm: float = 30.0
     side_mm: float = 2.0
-    threshold: float = 0.3
+    threshold: float = DEFAULT_THRESHOLD_FRAC
     mode: str = PAPER_DEFAULT
     out: str | None = None
     raw_float: bool = False
@@ -80,22 +83,16 @@ class RunConfig:
     def echo_lines(self) -> list[str]:
         return [
             f"grid_n={self.grid_n}",
-            f"window_mm={_fmt(self.window_mm)}",
-            f"waist_mm={_fmt(self.waist_mm)}",
-            f"lambda_nm={_fmt(self.lambda_nm)}",
-            f"focal_cm={_fmt(self.focal_cm)}",
-            f"side_mm={_fmt(self.side_mm)}",
-            f"threshold={_fmt(self.threshold)}",
+            f"window_mm={dsl._format_number(self.window_mm)}",
+            f"waist_mm={dsl._format_number(self.waist_mm)}",
+            f"lambda_nm={dsl._format_number(self.lambda_nm)}",
+            f"focal_cm={dsl._format_number(self.focal_cm)}",
+            f"side_mm={dsl._format_number(self.side_mm)}",
+            f"threshold={dsl._format_number(self.threshold)}",
             f"mode={self.mode}",
             f"out={self.out if self.out is not None else '-'}",
             f"raw_float={'true' if self.raw_float else 'false'}",
         ]
-
-
-def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -257,13 +254,10 @@ def _expected_outcome_charge(logical: dsl.LogicalRun, axis) -> tuple[int, str] |
     if logical.oam_is_zero:
         return 0, SIGN_UNDEFINED
     state = logical.final_state
-    chi = axis.jones.conj() @ state.amplitudes.reshape(2, 2)
-    chi = np.abs(chi) ** 2
-    chi = chi / chi.sum()
-    if chi[0] > 1.0 - 1e-9:
-        return state.oam_magnitude, "+"
-    if chi[1] > 1.0 - 1e-9:
-        return state.oam_magnitude, "-"
+    weights = np.abs(dsl._oam_components(state, axis)) ** 2
+    for weight, sign in zip(weights, "+-"):
+        if weight > 1.0 - 1e-9:
+            return state.oam_magnitude, sign
     return None
 
 
@@ -302,9 +296,9 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
         )
 
     status = "ok"
-    has_aperture = circ.first_of(dsl.TriangleAperture) is not None
+    aperture_stmt = circ.first_of(dsl.TriangleAperture)
     has_detect = circ.first_of(dsl.Detect) is not None
-    if has_aperture and has_detect:
+    if aperture_stmt is not None and has_detect:
         try:
             wave = dsl.run_wave(
                 circ, config.grid, config.optical_params,
@@ -338,22 +332,15 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
                 if path is not None:
                     lines.append(f"outcome_image={path}")
     else:
-        missing = "TRIAPERTURE" if not has_aperture else "DETECT"
+        missing = "TRIAPERTURE" if aperture_stmt is None else "DETECT"
         lines.append(f"readout=none (missing {missing})")
         if logical.final_state is not None:
             mask = None
-            if has_aperture:
-                stmt = circ.first_of(dsl.TriangleAperture)
-                aperture = ApertureSpec(TRIANGLE, stmt.side_m, stmt.orientation_rad)
-                mask = aperture_mask(config.grid, aperture)
-            for axis, probability in dsl.outcome_axes(logical):
-                field = dsl.synthesize_field(
-                    logical, axis, config.grid, config.optical_params
-                )
-                if mask is not None:
-                    field = apply_mask(field, mask)
-                far = far_field(field, config.optical_params.focal_length)
-                img = intensity(far)
+            if aperture_stmt is not None:
+                mask = aperture_mask(config.grid, aperture_stmt.spec)
+            for axis, probability, img, _ in dsl.render_outcomes(
+                logical, config.grid, config.optical_params, mask
+            ):
                 lines.append(f"outcome_axis={axis.value}")
                 lines.append(f"outcome_probability={probability!r}")
                 path = _save_outputs(img, f"simulate_{axis.value}", config)
@@ -410,16 +397,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = RunConfig()
+
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid-n", type=int, default=1024, help="grid samples per side")
-        p.add_argument("--window-mm", type=float, default=8.0, help="grid window (mm)")
-        p.add_argument("--waist-mm", type=float, default=0.5, help="beam waist (mm)")
-        p.add_argument("--lambda-nm", type=float, default=532.0, help="wavelength (nm)")
-        p.add_argument("--focal-cm", type=float, default=30.0, help="focal length (cm)")
-        p.add_argument("--side-mm", type=float, default=2.0, help="triangle side (mm)")
-        p.add_argument("--threshold", type=float, default=0.3,
+        p.add_argument("--grid-n", type=int, default=defaults.grid_n,
+                       help="grid samples per side")
+        p.add_argument("--window-mm", type=float, default=defaults.window_mm,
+                       help="grid window (mm)")
+        p.add_argument("--waist-mm", type=float, default=defaults.waist_mm,
+                       help="beam waist (mm)")
+        p.add_argument("--lambda-nm", type=float, default=defaults.lambda_nm,
+                       help="wavelength (nm)")
+        p.add_argument("--focal-cm", type=float, default=defaults.focal_cm,
+                       help="focal length (cm)")
+        p.add_argument("--side-mm", type=float, default=defaults.side_mm,
+                       help="triangle side (mm)")
+        p.add_argument("--threshold", type=float, default=defaults.threshold,
                        help="peak threshold as a fraction of the image maximum")
-        p.add_argument("--mode", choices=list(MODE_LABELS), default=PAPER_DEFAULT,
+        p.add_argument("--mode", choices=list(MODE_LABELS), default=defaults.mode,
                        help="interferometer reflection-parity convention")
         p.add_argument("--out", default=None, help="directory for images and reports")
         p.add_argument("--raw-float", action="store_true",
@@ -438,18 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        grid_n=args.grid_n,
-        window_mm=args.window_mm,
-        waist_mm=args.waist_mm,
-        lambda_nm=args.lambda_nm,
-        focal_cm=args.focal_cm,
-        side_mm=args.side_mm,
-        threshold=args.threshold,
-        mode=args.mode,
-        out=args.out,
-        raw_float=args.raw_float,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def main(argv: list[str] | None = None, stream=None) -> int:
@@ -457,8 +441,10 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "readout-sweep":
-        if not (-10 <= args.ell_min <= args.ell_max <= 10):
-            parser.error("need -10 <= ell-min <= ell-max <= 10")
+        if not (-MAX_CHARGE <= args.ell_min <= args.ell_max <= MAX_CHARGE):
+            parser.error(
+                f"need -{MAX_CHARGE} <= ell-min <= ell-max <= {MAX_CHARGE}"
+            )
     try:
         config = _config_from_args(args)
         config.grid  # validate the grid geometry before running anything

@@ -47,16 +47,15 @@ class ElementConfig:
     """Optical-element conventions for the interferometer.
 
     ``pbs_reflection_phase`` is applied on every splitter reflection.
-    The two mode labels differ in how reflections treat the OAM sign:
-    the default mode takes the arms at face value (mirror preserves the
+    The mode label decides how reflections treat the OAM sign: the
+    default mode takes the arms at face value (mirror preserves the
     sign, pentaprism inverts it), while strict-parity mode toggles the
-    sign on every physical reflection, so the mirror flips and the
-    pentaprism's two internal reflections cancel.
+    sign on every physical reflection: the splitter reflections and the
+    mirror flip it, and the pentaprism's two internal reflections cancel.
+    The three flip flags are read-only, derived from the label.
     """
 
     pbs_reflection_phase: float = 0.0
-    mirror_flips_oam: bool = False
-    pentaprism_flips_oam: bool = True
     mode_label: str = PAPER_DEFAULT
 
     def __post_init__(self) -> None:
@@ -69,28 +68,21 @@ class ElementConfig:
     def pbs_reflection_flips_oam(self) -> bool:
         return self.mode_label == STRICT_PARITY
 
+    @property
+    def mirror_flips_oam(self) -> bool:
+        return self.mode_label == STRICT_PARITY
+
+    @property
+    def pentaprism_flips_oam(self) -> bool:
+        return self.mode_label == PAPER_DEFAULT
+
     @classmethod
     def paper_default(cls) -> "ElementConfig":
         return cls()
 
     @classmethod
     def strict_parity(cls) -> "ElementConfig":
-        return cls(
-            pbs_reflection_phase=0.0,
-            mirror_flips_oam=True,
-            pentaprism_flips_oam=False,
-            mode_label=STRICT_PARITY,
-        )
-
-    @classmethod
-    def from_mode(cls, mode_label: str) -> "ElementConfig":
-        if mode_label == PAPER_DEFAULT:
-            return cls.paper_default()
-        if mode_label == STRICT_PARITY:
-            return cls.strict_parity()
-        raise ValueError(
-            f"unknown mode label {mode_label!r}; expected one of {MODE_LABELS}"
-        )
+        return cls(mode_label=STRICT_PARITY)
 
 
 @dataclass(frozen=True, eq=False)

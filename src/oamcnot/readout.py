@@ -1,6 +1,9 @@
 """Automated readout of a vortex beam's topological charge from the
 far-field pattern behind a triangular aperture.
 
+The camera path is two steps that every caller shares: ``render_image``
+(mask, lens, intensity) and ``read_image`` (separation floor, classify).
+
 The pattern is a finite triangular lattice of bright spots; counting N
 spots on a side gives the magnitude |ell| = N - 1, and the lattice's
 pointing direction gives the sign.  In this simulation's propagation
@@ -21,6 +24,7 @@ from .wavefield import (
     ApertureSpec,
     Grid,
     OpticalParams,
+    ScalarField,
     aperture_mask,
     apply_mask,
     far_field,
@@ -272,6 +276,35 @@ def default_min_separation(
     )
 
 
+def render_image(
+    field: ScalarField, mask: np.ndarray | None, focal_length: float
+) -> tuple[np.ndarray, Grid]:
+    """Camera image of a field: through the mask (if any) and the lens.
+
+    Returns the far-field intensity and the far-field grid it lives on.
+    """
+    if mask is not None:
+        field = apply_mask(field, mask)
+    far = far_field(field, focal_length)
+    return intensity(far), far.grid
+
+
+def read_image(
+    img: np.ndarray,
+    grid: Grid,
+    aperture: ApertureSpec,
+    params: OpticalParams,
+    threshold_frac: float,
+) -> ReadoutResult:
+    """Classify a camera image with the lattice-based separation floor."""
+    min_sep = default_min_separation(
+        params.wavelength, params.focal_length, aperture.size, grid.pitch
+    )
+    return classify_oam(
+        img, aperture, grid, threshold_frac=threshold_frac, min_separation=min_sep
+    )
+
+
 def readout_roundtrip(
     ell: int,
     params: OpticalParams,
@@ -281,13 +314,9 @@ def readout_roundtrip(
     threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
 ) -> ReadoutResult:
     """Full pipeline: synthesize the vortex, mask it, propagate, classify."""
-    field = lg_mode(grid, ell, params.beam_waist, params.wavelength)
-    masked = apply_mask(field, aperture_mask(grid, aperture))
-    far = far_field(masked, params.focal_length)
-    img = intensity(far)
-    min_sep = default_min_separation(
-        params.wavelength, params.focal_length, aperture.size, far.grid.pitch
+    img, far_grid = render_image(
+        lg_mode(grid, ell, params.beam_waist, params.wavelength),
+        aperture_mask(grid, aperture),
+        params.focal_length,
     )
-    return classify_oam(
-        img, aperture, far.grid, threshold_frac=threshold_frac, min_separation=min_sep
-    )
+    return read_image(img, far_grid, aperture, params, threshold_frac)

@@ -163,6 +163,25 @@ class TestSimulate:
         assert img[c, c] == 0
         assert img.max() == 65535
 
+    def test_aperture_without_detect_renders_the_detect_images(self, tmp_path):
+        # Both branches of simulate share one render path, so dropping DETECT
+        # drops the readout but leaves every camera image byte-identical.
+        text = "SOURCE pol=D oam=1\nMZI_CNOT\nTRIAPERTURE side=2\n"
+        runs = {}
+        for name, body in (("readout", text + "DETECT\n"), ("none", text)):
+            circ = tmp_path / f"{name}.circ"
+            circ.write_text(body)
+            out = tmp_path / name
+            code, report = run_cli(["simulate", str(circ), *FAST, "--out", str(out)])
+            assert code == EXIT_OK
+            runs[name] = (report, out)
+        assert "outcome_agreement=yes" in runs["readout"][0]
+        assert "readout=none (missing DETECT)" in runs["none"][0]
+        assert "status=no-readout" in runs["none"][0]
+        for image in ("simulate_H.pgm", "simulate_V.pgm"):
+            with_detect = (runs["readout"][1] / image).read_bytes()
+            assert (runs["none"][1] / image).read_bytes() == with_detect
+
     def test_parse_error_position_and_exit(self, tmp_path):
         circ = tmp_path / "bad.circ"
         circ.write_text("SOURCE pol=H oam=1\nHWP angle=abc\n")
