@@ -487,25 +487,35 @@ def synthesize_field(
     run: LogicalRun, axis: PolarizationAxis, grid: Grid, params: OpticalParams
 ) -> ScalarField:
     """Transverse field of the OAM component carried by a polarization
-    outcome: a superposition of the +|ell| and -|ell| vortex modes."""
+    outcome: a superposition of the +|ell| and -|ell| vortex modes.  A mode
+    whose weight is exactly zero is not built."""
     if run.oam_is_zero:
         return lg_mode(grid, 0, params.beam_waist, params.wavelength)
     state = run.final_state
     assert state is not None
-    chi = _oam_components(state, axis)
     m = state.oam_magnitude
-    plus = lg_mode(grid, +m, params.beam_waist, params.wavelength)
-    minus = lg_mode(grid, -m, params.beam_waist, params.wavelength)
-    samples = chi[0] * plus.samples + chi[1] * minus.samples
+    terms = (
+        weight * lg_mode(grid, sign * m, params.beam_waist, params.wavelength).samples
+        for sign, weight in zip((+1, -1), _oam_components(state, axis))
+        if weight != 0
+    )
+    samples = next(terms)
+    for term in terms:
+        samples += term
     return ScalarField(samples, grid, params.wavelength)
 
 
 def render_outcomes(
-    run: LogicalRun, grid: Grid, params: OpticalParams, mask: np.ndarray | None
+    run: LogicalRun, grid: Grid, params: OpticalParams, aperture: ApertureSpec | None
 ) -> Iterator[tuple[PolarizationAxis, float, np.ndarray, Grid]]:
     """Yield (axis, probability, camera image, far-field grid) for each
-    polarization outcome, one outcome at a time."""
+    polarization outcome, one outcome at a time.  The aperture mask (if
+    any) is built when the first outcome is rendered, so a circuit whose
+    beam is blocked builds none."""
+    mask = None
     for axis, probability in outcome_axes(run):
+        if aperture is not None and mask is None:
+            mask = aperture_mask(grid, aperture)
         img, far_grid = render_image(
             synthesize_field(run, axis, grid, params), mask, params.focal_length
         )
@@ -527,12 +537,11 @@ def run_wave(
         )
     aperture = aperture_stmt.spec
     logical = run_logical(circuit)
-    mask = aperture_mask(grid, aperture)
     outcomes = tuple(
         WaveOutcome(
             axis, probability, img, far_grid,
             read_image(img, far_grid, aperture, params, threshold_frac),
         )
-        for axis, probability, img, far_grid in render_outcomes(logical, grid, params, mask)
+        for axis, probability, img, far_grid in render_outcomes(logical, grid, params, aperture)
     )
     return WaveRun(logical, aperture, outcomes)

@@ -31,7 +31,6 @@ from .wavefield import (
     Grid,
     OpticalParams,
     TRIANGLE,
-    aperture_mask,
 )
 
 EXIT_OK = 0
@@ -334,19 +333,20 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
     else:
         missing = "TRIAPERTURE" if aperture_stmt is None else "DETECT"
         lines.append(f"readout=none (missing {missing})")
-        if logical.final_state is not None:
-            mask = None
-            if aperture_stmt is not None:
-                mask = aperture_mask(config.grid, aperture_stmt.spec)
+        status = "no-readout"
+        aperture = None if aperture_stmt is None else aperture_stmt.spec
+        try:
             for axis, probability, img, _ in dsl.render_outcomes(
-                logical, config.grid, config.optical_params, mask
+                logical, config.grid, config.optical_params, aperture
             ):
                 lines.append(f"outcome_axis={axis.value}")
                 lines.append(f"outcome_probability={probability!r}")
                 path = _save_outputs(img, f"simulate_{axis.value}", config)
                 if path is not None:
                     lines.append(f"outcome_image={path}")
-        status = "no-readout"
+        except ValueError as exc:
+            lines.append(f"wave_error={exc}")
+            status = "mismatch"
     lines.append(f"status={status}")
     _emit(lines, stream, config, "simulate")
     return EXIT_MISMATCH if status == "mismatch" else EXIT_OK

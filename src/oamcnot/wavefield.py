@@ -101,7 +101,10 @@ def lg_mode(grid: Grid, ell: int, waist: float, wavelength: float) -> ScalarFiel
     """Vortex mode of topological charge ``ell``, normalized to unit power.
 
     Amplitude (r sqrt2 / w0)^|ell| exp(-r^2/w0^2) with helical phase
-    exp(i ell phi); ell = 0 degenerates to a plain Gaussian.
+    exp(i ell phi); ell = 0 degenerates to a plain Gaussian.  Built as
+    ((x +- iy) sqrt2 / w0)^|ell| g(x) g(y), g(c) = exp(-c^2/w0^2), from the
+    1-D coordinates, so ``lg_mode(-ell)`` is the exact conjugate of
+    ``lg_mode(ell)``.
     """
     if abs(ell) > MAX_CHARGE:
         raise ValueError(f"|ell| = {abs(ell)} exceeds the supported range {MAX_CHARGE}")
@@ -111,20 +114,33 @@ def lg_mode(grid: Grid, ell: int, waist: float, wavelength: float) -> ScalarFiel
             f"beam waist {waist:g} m is outside the resolvable range "
             f"({lo:g}, {hi:g}) m for this grid"
         )
-    x, y = grid.mesh()
-    r = np.hypot(x, y)
-    envelope = (r * np.sqrt(2.0) / waist) ** abs(ell) * np.exp(-((r / waist) ** 2))
-    field = envelope * np.exp(1j * ell * np.arctan2(y, x))
-    field = field / np.sqrt(np.sum(np.abs(field) ** 2) * grid.pitch**2)
+    c = grid.coords()
+    if ell == 0:
+        field = np.ones((grid.n, grid.n), dtype=complex)
+    else:
+        scaled = c * (np.sqrt(2.0) / waist)
+        base = np.empty((grid.n, grid.n), dtype=complex)
+        base.real = scaled[np.newaxis, :]
+        base.imag = (scaled if ell > 0 else -scaled)[:, np.newaxis]
+        field = base.copy() if abs(ell) > 1 else base
+        for _ in range(abs(ell) - 1):
+            field *= base
+    g = np.exp(-((c / waist) ** 2))
+    field *= g[:, np.newaxis]
+    field *= g[np.newaxis, :]
+    field /= np.sqrt(np.sum(np.abs(field) ** 2) * grid.pitch**2)
     return ScalarField(field, grid, wavelength)
 
 
 def aperture_mask(grid: Grid, aperture: ApertureSpec) -> np.ndarray:
     """Binary transmission mask, centroid on the optical axis.
 
-    A pixel transmits when its center falls inside the shape.
+    A pixel transmits when its center falls inside the shape.  The
+    inequalities are evaluated on a row of x and a column of y, which
+    broadcast to the full grid.
     """
-    x, y = grid.mesh()
+    c = grid.coords()
+    x, y = c[np.newaxis, :], c[:, np.newaxis]
     if aperture.shape == CIRCLE:
         radius = aperture.size / 2.0
         if radius >= grid.window / 2.0:
@@ -174,9 +190,9 @@ def far_field(field: ScalarField, focal_length: float) -> ScalarField:
         raise ValueError(f"focal length must be positive, got {focal_length}")
     lam_f = field.wavelength * focal_length
     spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(field.samples)))
-    out = spectrum * (field.grid.pitch**2 / lam_f)
+    spectrum *= field.grid.pitch**2 / lam_f
     out_grid = Grid(field.grid.n, field.grid.n * lam_f / field.grid.window)
-    return ScalarField(out, out_grid, field.wavelength)
+    return ScalarField(spectrum, out_grid, field.wavelength)
 
 
 def intensity(field: ScalarField) -> np.ndarray:

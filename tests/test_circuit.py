@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oamcnot import circuit
 from oamcnot.circuit import (
     Circuit,
     CircuitError,
@@ -17,9 +18,10 @@ from oamcnot.circuit import (
     parse,
     run_logical,
     run_wave,
+    synthesize_field,
 )
 from oamcnot.hybrid import PolarizationAxis, bell_state
-from oamcnot.wavefield import Grid, OpticalParams
+from oamcnot.wavefield import Grid, OpticalParams, lg_mode
 
 REFERENCE_TEXT = (
     "SOURCE pol=V oam=1\n"
@@ -279,3 +281,50 @@ class TestRunWave:
     def test_outcome_axes_skips_dead_branches(self):
         run = run_logical(parse("SOURCE pol=H oam=1\nPOLARIZER V"))
         assert outcome_axes(run) == []
+
+
+def counting(monkeypatch, name):
+    """Wrap ``circuit.<name>`` so that every call is recorded."""
+    calls = []
+    real = getattr(circuit, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circuit, name, wrapper)
+    return calls
+
+
+class TestSynthesizeField:
+    def test_basis_outcome_builds_one_mode(self, monkeypatch, fast_grid, params):
+        run = run_logical(parse("SOURCE pol=H oam=1\nMZI_CNOT"))
+        ((axis, _),) = outcome_axes(run)
+        calls = counting(monkeypatch, "lg_mode")
+        field = synthesize_field(run, axis, fast_grid, params)
+        assert [args[1] for args in calls] == [1]
+        mode = lg_mode(fast_grid, 1, params.beam_waist, params.wavelength)
+        assert np.array_equal(field.samples, mode.samples)
+
+    def test_superposition_outcome_builds_both_modes(self, monkeypatch, fast_grid, params):
+        run = run_logical(parse("SOURCE pol=D oam=1\nMZI_CNOT\nHWP angle=22.5"))
+        axes = [axis for axis, _ in outcome_axes(run)]
+        assert len(axes) == 2
+        for axis in axes:
+            calls = counting(monkeypatch, "lg_mode")
+            synthesize_field(run, axis, fast_grid, params)
+            assert [args[1] for args in calls] == [1, -1]
+
+
+class TestRenderOutcomes:
+    def test_blocked_beam_builds_no_mask(self, monkeypatch, fast_grid, params):
+        calls = counting(monkeypatch, "aperture_mask")
+        text = "SOURCE pol=H oam=1\nPOLARIZER V\nTRIAPERTURE side=2\nDETECT"
+        assert run_wave(parse(text), fast_grid, params).outcomes == ()
+        assert calls == []
+
+    def test_one_mask_for_all_outcomes(self, monkeypatch, fast_grid, params):
+        calls = counting(monkeypatch, "aperture_mask")
+        text = "SOURCE pol=D oam=1\nTRIAPERTURE side=2\nDETECT"
+        assert len(run_wave(parse(text), fast_grid, params).outcomes) == 2
+        assert len(calls) == 1

@@ -182,6 +182,29 @@ class TestSimulate:
             with_detect = (runs["readout"][1] / image).read_bytes()
             assert (runs["none"][1] / image).read_bytes() == with_detect
 
+    @pytest.mark.parametrize(
+        "aperture, options, message",
+        [
+            ("TRIAPERTURE side=20", [], "wave_error=triangle side 0.02 m does not fit"),
+            ("TRIAPERTURE side=2", ["--waist-mm", "3"], "wave_error=beam waist 0.003 m"),
+        ],
+    )
+    def test_bad_geometry_is_a_wave_error_with_or_without_detect(
+        self, tmp_path, aperture, options, message
+    ):
+        reports = []
+        for name, tail in (("readout", "DETECT\n"), ("none", "")):
+            circ = tmp_path / f"{name}.circ"
+            circ.write_text(f"SOURCE pol=H oam=1\n{aperture}\n{tail}")
+            code, report = run_cli(["simulate", str(circ), *FAST, *options])
+            assert code == EXIT_MISMATCH
+            assert message in report
+            assert report.endswith("status=mismatch\n")
+            reports.append(report)
+        assert "readout=none (missing DETECT)" in reports[1]
+        errors = [[ln for ln in r.splitlines() if ln.startswith("wave_error=")] for r in reports]
+        assert errors[0] == errors[1] and len(errors[0]) == 1
+
     def test_parse_error_position_and_exit(self, tmp_path):
         circ = tmp_path / "bad.circ"
         circ.write_text("SOURCE pol=H oam=1\nHWP angle=abc\n")

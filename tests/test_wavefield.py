@@ -36,6 +36,30 @@ def radial_profile(img, grid, bin_px=1.0):
     return prof, width
 
 
+def polar_lg_mode(grid, ell, waist):
+    """The vortex mode's closed form in polar coordinates, unit power."""
+    x, y = grid.mesh()
+    r = np.hypot(x, y)
+    field = (r * np.sqrt(2.0) / waist) ** abs(ell) * np.exp(-((r / waist) ** 2))
+    field = field * np.exp(1j * ell * np.arctan2(y, x))
+    return field / np.sqrt(np.sum(np.abs(field) ** 2) * grid.pitch**2)
+
+
+def meshgrid_mask(grid, aperture):
+    """The aperture inequalities evaluated on full-grid coordinate meshes."""
+    x, y = grid.mesh()
+    if aperture.shape == CIRCLE:
+        return (x**2 + y**2 <= (aperture.size / 2.0) ** 2).astype(float)
+    circumradius = aperture.size / np.sqrt(3.0)
+    angles = aperture.orientation + np.pi / 2.0 + 2.0 * np.pi * np.arange(3) / 3.0
+    vx, vy = circumradius * np.cos(angles), circumradius * np.sin(angles)
+    inside = np.ones(x.shape, dtype=bool)
+    for k in range(3):
+        x1, y1, x2, y2 = vx[k], vy[k], vx[(k + 1) % 3], vy[(k + 1) % 3]
+        inside &= (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0.0
+    return inside.astype(float)
+
+
 class TestGrid:
     def test_pitch_and_coords(self):
         grid = Grid(128, 8e-3)
@@ -80,6 +104,16 @@ class TestLgMode:
         minus = lg_mode(fast_grid, -3, W0, LAM)
         assert np.array_equal(minus.samples, plus.samples.conj())
 
+    @pytest.mark.parametrize(
+        "n, ell",
+        [(256, ell) for ell in range(-10, 11)] + [(1024, ell) for ell in (-8, -1, 1, 8)],
+    )
+    def test_matches_polar_closed_form(self, n, ell):
+        grid = Grid(n, 8e-3)
+        want = polar_lg_mode(grid, ell, W0)
+        got = lg_mode(grid, ell, W0, LAM).samples
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_waist_bounds_reported(self, fast_grid):
         with pytest.raises(ValueError) as err:
             lg_mode(fast_grid, 1, 1e-8, LAM)
@@ -112,6 +146,15 @@ class TestApertureMask:
         exact = np.pi * d**2 / 4.0 / grid.window**2
         tolerance = 2.0 * np.pi * d * grid.pitch / grid.window**2
         assert abs(area_frac - exact) < tolerance
+
+    @pytest.mark.parametrize(
+        "aperture",
+        [ApertureSpec(TRIANGLE, 2e-3, np.radians(deg)) for deg in (0.0, 15.0, 37.3, 90.0)]
+        + [ApertureSpec(CIRCLE, 3e-3)],
+    )
+    def test_matches_meshgrid_reference(self, aperture):
+        grid = Grid(1024, 8e-3)
+        assert np.array_equal(aperture_mask(grid, aperture), meshgrid_mask(grid, aperture))
 
     def test_half_turn_is_point_reflection(self, fast_grid):
         mask0 = aperture_mask(fast_grid, ApertureSpec(TRIANGLE, 2e-3, 0.0))
