@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +73,15 @@ class CircuitError(RuntimeError):
     """Semantic error while interpreting a circuit."""
 
 
+class ArgumentError(ValueError):
+    """A statement argument outside its domain; ``parameter`` is the
+    argument's name in the circuit text."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 @dataclass(frozen=True)
 class Source:
     pol: str
@@ -80,7 +89,9 @@ class Source:
 
     def __post_init__(self) -> None:
         if self.pol not in _POL_LABELS:
-            raise ValueError(f"pol must be one of {_POL_LABELS}, got {self.pol!r}")
+            raise ArgumentError(
+                "pol", f"pol must be one of {', '.join(_POL_LABELS)}, got {self.pol!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,7 @@ class Hwp:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.angle_deg):
-            raise ValueError(f"angle must be finite, got {self.angle_deg}")
+            raise ArgumentError("angle", f"angle must be finite, got {self.angle_deg}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ class MziCnot:
 
     def __post_init__(self) -> None:
         if self.mode not in MODE_LABELS:
-            raise ValueError(f"mode must be one of {MODE_LABELS}, got {self.mode!r}")
+            raise ArgumentError("mode", f"mode must be one of {MODE_LABELS}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,7 @@ class Polarizer:
 
     def __post_init__(self) -> None:
         if self.axis not in ("H", "V"):
-            raise ValueError(f"polarizer axis must be H or V, got {self.axis!r}")
+            raise ArgumentError("axis", f"polarizer axis must be H or V, got {self.axis!r}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +128,11 @@ class TriangleAperture:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.side_mm) and self.side_mm > 0):
-            raise ValueError(f"side must be positive, got {self.side_mm}")
+            raise ArgumentError("side", f"side must be positive, got {self.side_mm}")
         if not math.isfinite(self.orientation_deg):
-            raise ValueError(f"orientation must be finite, got {self.orientation_deg}")
+            raise ArgumentError(
+                "orientation", f"orientation must be finite, got {self.orientation_deg}"
+            )
 
     @property
     def side_m(self) -> float:
@@ -142,26 +155,35 @@ class Detect:
 Statement = Source | Hwp | MziCnot | Polarizer | TriangleAperture | Detect
 
 
+def _placement_error(before: Sequence[Statement], kind: type | None) -> str | None:
+    """Why a statement of type ``kind`` cannot follow ``before``, a prefix
+    that passed this check, or None when it can.  ``kind`` None is an
+    unknown keyword, which must still respect where SOURCE and DETECT stand."""
+    if not before:
+        return None if kind is Source else "circuit must start with SOURCE"
+    if isinstance(before[-1], Detect):
+        return "statement after DETECT"
+    if kind is Source:
+        return "duplicate SOURCE"
+    if kind is MziCnot and before[0].oam == 0:
+        return "MZI_CNOT needs a nonzero OAM charge"
+    return None
+
+
 @dataclass(frozen=True)
 class Circuit:
     statements: tuple[Statement, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statements", tuple(self.statements))
-        stmts = self.statements
-        if not stmts or not isinstance(stmts[0], Source):
-            raise ValueError("circuit must start with exactly one SOURCE")
-        if any(isinstance(s, Source) for s in stmts[1:]):
-            raise ValueError("circuit has more than one SOURCE")
-        detects = [i for i, s in enumerate(stmts) if isinstance(s, Detect)]
-        if len(detects) > 1 or (detects and detects[0] != len(stmts) - 1):
-            raise ValueError("DETECT must be unique and last")
-        if stmts[0].oam == 0 and any(isinstance(s, MziCnot) for s in stmts):
-            raise ValueError("MZI_CNOT needs a nonzero OAM charge")
-
-    @property
-    def source(self) -> Source:
-        return self.statements[0]  # type: ignore[return-value]
+        if not self.statements:
+            raise ValueError("empty circuit: missing SOURCE statement")
+        before: list[Statement] = []
+        for stmt in self.statements:
+            message = _placement_error(before, type(stmt))
+            if message is not None:
+                raise ValueError(message)
+            before.append(stmt)
 
     def first_of(self, kind: type) -> Statement | None:
         for s in self.statements:
@@ -207,123 +229,90 @@ def _split_kv(
     return seen
 
 
-def _require(
-    kv: dict[str, tuple[str, int]], key: str, line_no: int, kw_col: int, kw: str
-) -> tuple[str, int]:
-    if key not in kv:
-        raise ParseError(line_no, kw_col, f"{kw} requires {key}=...", kw)
-    return kv[key]
-
-
-def _parse_float(value: str, line_no: int, col: int) -> float:
+def _decimal(value: str) -> float:
     if not _FLOAT_RE.match(value):
-        raise ParseError(line_no, col, f"malformed number {value!r}", value)
+        raise ValueError(f"malformed number {value!r}")
     parsed = float(value)
     if not math.isfinite(parsed):
-        raise ParseError(line_no, col, f"number out of range {value!r}", value)
+        raise ValueError(f"number out of range {value!r}")
     return parsed
 
 
-def _parse_int(value: str, line_no: int, col: int) -> int:
+def _integer(value: str) -> int:
     if not _INT_RE.match(value):
-        raise ParseError(line_no, col, f"malformed integer {value!r}", value)
+        raise ValueError(f"malformed integer {value!r}")
     return int(value)
 
 
-def parse(text: str) -> Circuit:
-    """Parse circuit text; raises ParseError with a 1-based position."""
-    statements: list[Statement] = []
-    source_oam: int | None = None
-    detect_seen = False
+# keyword -> (statement type, parameters as (key, field, converter, required)).
+# POLARIZER takes its one parameter as a bare token, not as key=value.
+_SYNTAX: dict[str, tuple[type, tuple[tuple[str, str, Callable[[str], object], bool], ...]]] = {
+    "SOURCE": (Source, (("pol", "pol", str.upper, True), ("oam", "oam", _integer, True))),
+    "HWP": (Hwp, (("angle", "angle_deg", _decimal, True),)),
+    "MZI_CNOT": (MziCnot, (("mode", "mode", str, False),)),
+    "POLARIZER": (Polarizer, (("axis", "axis", str.upper, True),)),
+    "TRIAPERTURE": (TriangleAperture, (
+        ("side", "side_mm", _decimal, True),
+        ("orientation", "orientation_deg", _decimal, False),
+    )),
+    "DETECT": (Detect, ()),
+}
 
+
+def parse(text: str) -> Circuit:
+    """Parse circuit text; raises ParseError with a 1-based position.
+
+    The placement and argument rules are the ones ``Circuit`` and the
+    statement types enforce.  parse adds the token, key=value and number
+    syntax, and points a placement error at the keyword and an argument
+    error at the rejected value.
+    """
+    statements: list[Statement] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = _tokenize(line)
+        tokens = _tokenize(raw.split("#", 1)[0])
         if not tokens:
             continue
         (kw_token, kw_col), args = tokens[0], tokens[1:]
         kw = kw_token.upper()
+        kind, params = _SYNTAX.get(kw, (None, ()))
+        message = _placement_error(statements, kind)
+        if message is None and kind is None:
+            message = f"unknown keyword {kw_token!r}"
+        if message is not None:
+            raise ParseError(line_no, kw_col, message, kw_token)
 
-        if detect_seen:
-            raise ParseError(line_no, kw_col, "statement after DETECT", kw_token)
-        if not statements and kw != "SOURCE":
-            raise ParseError(
-                line_no, kw_col, "circuit must start with SOURCE", kw_token
-            )
-
-        if kw == "SOURCE":
-            if statements:
-                raise ParseError(line_no, kw_col, "duplicate SOURCE", kw_token)
-            kv = _split_kv(args, line_no, ("pol", "oam"))
-            pol_value, pol_col = _require(kv, "pol", line_no, kw_col, kw)
-            pol = pol_value.upper()
-            if pol not in _POL_LABELS:
-                raise ParseError(
-                    line_no, pol_col, f"pol must be one of H, V, D, A, got {pol_value!r}",
-                    pol_value,
-                )
-            oam_value, oam_col = _require(kv, "oam", line_no, kw_col, kw)
-            oam = _parse_int(oam_value, line_no, oam_col)
-            source_oam = oam
-            statements.append(Source(pol, oam))
-        elif kw == "HWP":
-            kv = _split_kv(args, line_no, ("angle",))
-            value, col = _require(kv, "angle", line_no, kw_col, kw)
-            statements.append(Hwp(_parse_float(value, line_no, col)))
-        elif kw == "MZI_CNOT":
-            kv = _split_kv(args, line_no, ("mode",))
-            mode = PAPER_DEFAULT
-            if "mode" in kv:
-                value, col = kv["mode"]
-                if value not in MODE_LABELS:
-                    raise ParseError(
-                        line_no, col, f"mode must be one of {MODE_LABELS}, got {value!r}",
-                        value,
-                    )
-                mode = value
-            if source_oam == 0:
-                raise ParseError(
-                    line_no, kw_col, "MZI_CNOT needs a nonzero OAM charge", kw_token
-                )
-            statements.append(MziCnot(mode))
-        elif kw == "POLARIZER":
+        if kind is Polarizer:
             if not args:
                 raise ParseError(line_no, kw_col, "POLARIZER requires an axis (H or V)", kw_token)
-            (value, col) = args[0]
-            if len(args) > 1:
-                raise ParseError(
-                    line_no, args[1][1], f"unexpected token {args[1][0]!r}", args[1][0]
-                )
-            axis = value.upper()
-            if axis not in ("H", "V"):
-                raise ParseError(
-                    line_no, col, f"polarizer axis must be H or V, got {value!r}", value
-                )
-            statements.append(Polarizer(axis))
-        elif kw == "TRIAPERTURE":
-            kv = _split_kv(args, line_no, ("side", "orientation"))
-            value, col = _require(kv, "side", line_no, kw_col, kw)
-            side = _parse_float(value, line_no, col)
-            if side <= 0:
-                raise ParseError(line_no, col, f"side must be positive, got {value}", value)
-            orientation = 0.0
-            if "orientation" in kv:
-                o_value, o_col = kv["orientation"]
-                orientation = _parse_float(o_value, line_no, o_col)
-            statements.append(TriangleAperture(side, orientation))
-        elif kw == "DETECT":
-            if args:
-                raise ParseError(
-                    line_no, args[0][1], f"unexpected token {args[0][0]!r}", args[0][0]
-                )
-            statements.append(Detect())
-            detect_seen = True
+            found, extra = {"axis": args[0]}, args[1:]
+        elif params:
+            found, extra = _split_kv(args, line_no, tuple(p[0] for p in params)), []
         else:
-            raise ParseError(line_no, kw_col, f"unknown keyword {kw_token!r}", kw_token)
+            found, extra = {}, args
+        if extra:
+            token, col = extra[0]
+            raise ParseError(line_no, col, f"unexpected token {token!r}", token)
 
-    if not statements:
-        raise ParseError(1, 1, "empty circuit: missing SOURCE statement")
-    return Circuit(tuple(statements))
+        values = {}
+        for key, field, convert, required in params:
+            if key in found:
+                value, col = found[key]
+                try:
+                    values[field] = convert(value)
+                except ValueError as exc:
+                    raise ParseError(line_no, col, str(exc), value) from None
+            elif required:
+                raise ParseError(line_no, kw_col, f"{kw} requires {key}=...", kw)
+        try:
+            statements.append(kind(**values))
+        except ArgumentError as exc:
+            value, col = found[exc.parameter]
+            raise ParseError(line_no, col, str(exc), value) from None
+
+    try:
+        return Circuit(tuple(statements))
+    except ValueError as exc:  # only an empty circuit is left to reject
+        raise ParseError(1, 1, str(exc)) from None
 
 
 def _format_number(x: float) -> str:
@@ -332,27 +321,28 @@ def _format_number(x: float) -> str:
     return repr(x)
 
 
+def format_statement(s: Statement) -> str:
+    """Canonical text of one statement: uppercase keyword, defaults
+    rendered explicitly."""
+    if isinstance(s, Source):
+        return f"SOURCE pol={s.pol} oam={s.oam}"
+    if isinstance(s, Hwp):
+        return f"HWP angle={_format_number(s.angle_deg)}"
+    if isinstance(s, MziCnot):
+        return f"MZI_CNOT mode={s.mode}"
+    if isinstance(s, Polarizer):
+        return f"POLARIZER {s.axis}"
+    if isinstance(s, TriangleAperture):
+        return (
+            f"TRIAPERTURE side={_format_number(s.side_mm)} "
+            f"orientation={_format_number(s.orientation_deg)}"
+        )
+    return "DETECT"
+
+
 def format_circuit(circuit: Circuit) -> str:
-    """Canonical text: uppercase keywords, one statement per line,
-    defaults rendered explicitly.  parse(format_circuit(c)) == c."""
-    lines = []
-    for s in circuit.statements:
-        if isinstance(s, Source):
-            lines.append(f"SOURCE pol={s.pol} oam={s.oam}")
-        elif isinstance(s, Hwp):
-            lines.append(f"HWP angle={_format_number(s.angle_deg)}")
-        elif isinstance(s, MziCnot):
-            lines.append(f"MZI_CNOT mode={s.mode}")
-        elif isinstance(s, Polarizer):
-            lines.append(f"POLARIZER {s.axis}")
-        elif isinstance(s, TriangleAperture):
-            lines.append(
-                f"TRIAPERTURE side={_format_number(s.side_mm)} "
-                f"orientation={_format_number(s.orientation_deg)}"
-            )
-        else:
-            lines.append("DETECT")
-    return "\n".join(lines) + "\n"
+    """Canonical text, one statement per line.  parse(format_circuit(c)) == c."""
+    return "\n".join(map(format_statement, circuit.statements)) + "\n"
 
 
 @dataclass(frozen=True)

@@ -80,18 +80,17 @@ class RunConfig:
         )
 
     def echo_lines(self) -> list[str]:
-        return [
-            f"grid_n={self.grid_n}",
-            f"window_mm={dsl._format_number(self.window_mm)}",
-            f"waist_mm={dsl._format_number(self.waist_mm)}",
-            f"lambda_nm={dsl._format_number(self.lambda_nm)}",
-            f"focal_cm={dsl._format_number(self.focal_cm)}",
-            f"side_mm={dsl._format_number(self.side_mm)}",
-            f"threshold={dsl._format_number(self.threshold)}",
-            f"mode={self.mode}",
-            f"out={self.out if self.out is not None else '-'}",
-            f"raw_float={'true' if self.raw_float else 'false'}",
-        ]
+        return [f"{f.name}={_echo_value(getattr(self, f.name))}" for f in fields(self)]
+
+
+def _echo_value(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return dsl._format_number(value)
+    return str(value)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -188,13 +187,12 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
     for pol, ell in TRUTH_TABLE_INPUTS:
         expected = _expected_truth_output(pol, ell, config.mode)
         try:
-            circ = _row_circuit(pol, ell, config)
-            logical = dsl.run_logical(circ)
-            basis = _basis_readout(logical.final_state)
             wave = dsl.run_wave(
-                circ, config.grid, config.optical_params,
+                _row_circuit(pol, ell, config), config.grid, config.optical_params,
                 threshold_frac=config.threshold,
             )
+            logical = wave.logical
+            basis = _basis_readout(logical.final_state)
             (outcome,) = wave.outcomes
             exp_amps = basis_state(
                 0 if expected[0] == "H" else 1, 0 if expected[1] > 0 else 1, abs(ell)

@@ -20,8 +20,6 @@ ZERO_PROBABILITY = 1e-14
 
 _SQRT2 = np.sqrt(2.0)
 
-BASIS_LABELS = ("|H,+>", "|H,->", "|V,+>", "|V,->")
-
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0],
      [0, 1, 0, 0],
@@ -35,6 +33,25 @@ HADAMARD_POL_MATRIX = np.kron(
     np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
     np.eye(2, dtype=complex),
 )
+
+
+def validate_amplitudes(state, shape: tuple[int, ...]) -> None:
+    """Check that a state's amplitudes have ``shape`` and unit norm and that
+    its OAM magnitude is >= 1, then store a read-only complex copy of the
+    amplitudes on the (frozen) state."""
+    amps = np.array(state.amplitudes, dtype=complex)
+    if amps.shape != shape:
+        raise ValueError(f"expected amplitudes of shape {shape}, got {amps.shape}")
+    if state.oam_magnitude < 1:
+        raise ValueError(
+            "OAM magnitude must be >= 1: magnitude 0 has no sign and "
+            "cannot encode the target qubit"
+        )
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
+    amps.setflags(write=False)
+    object.__setattr__(state, "amplitudes", amps)
 
 
 class PolarizationAxis(Enum):
@@ -70,28 +87,7 @@ class HybridState:
     oam_magnitude: int
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (4,):
-            raise ValueError(f"expected 4 amplitudes, got shape {amps.shape}")
-        if self.oam_magnitude < 1:
-            raise ValueError(
-                "OAM magnitude must be >= 1: magnitude 0 has no sign and "
-                "cannot encode the target qubit"
-            )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes, oam_magnitude: int) -> "HybridState":
-        """Build a state from arbitrary amplitudes, normalizing them."""
-        amps = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
-            raise ValueError("cannot normalize an (almost) zero amplitude vector")
-        return cls(amps / norm, oam_magnitude)
+        validate_amplitudes(self, (4,))
 
 
 def basis_state(pol: int, oam: int, magnitude: int) -> HybridState:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import CNOT_MATRIX, NORM_TOL
+from .hybrid import CNOT_MATRIX, NORM_TOL, validate_amplitudes
 
 LOWER, UPPER = 0, 1
 
@@ -93,16 +93,7 @@ class PathState:
     oam_magnitude: int
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (2, 2, 2):
-            raise ValueError(f"expected (2, 2, 2) amplitudes, got {amps.shape}")
-        if self.oam_magnitude < 1:
-            raise ValueError("OAM magnitude must be >= 1")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        validate_amplitudes(self, (2, 2, 2))
 
 
 def inject_lower(pol: int, sign: int, magnitude: int = 1) -> PathState:

@@ -79,14 +79,17 @@ class OpticalParams:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Complex field samples on a grid, with the wavelength they carry."""
+    """Complex field samples on a grid, with the wavelength they carry.
+
+    A complex ndarray passed in is frozen in place (made read-only), not
+    copied; any other input is converted to a new read-only complex array."""
 
     samples: np.ndarray
     grid: Grid
     wavelength: float
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=complex)
+        samples = np.asarray(self.samples, dtype=complex)
         if samples.shape != (self.grid.n, self.grid.n):
             raise ValueError(
                 f"samples shape {samples.shape} does not match grid n = {self.grid.n}"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oamcnot import circuit
 from oamcnot.circuit import (
@@ -14,6 +14,7 @@ from oamcnot.circuit import (
     Source,
     TriangleAperture,
     format_circuit,
+    format_statement,
     outcome_axes,
     parse,
     run_logical,
@@ -57,6 +58,18 @@ def circuits(draw):
     if draw(st.booleans()):
         statements.append(Detect())
     return Circuit(tuple(statements))
+
+
+# Any statement anywhere, so that lists miss or repeat SOURCE, run on after
+# DETECT or repeat it, and put MZI_CNOT behind a zero charge.
+any_statement = st.one_of(
+    st.builds(Source, st.sampled_from("HVDA"), st.integers(-2, 2)),
+    st.builds(Hwp, finite_floats(min_value=-1e6, max_value=1e6)),
+    st.builds(MziCnot, st.sampled_from(["paper-default", "strict-parity"])),
+    st.builds(Polarizer, st.sampled_from("HV")),
+    st.builds(TriangleAperture, finite_floats(min_value=1e-3, max_value=1e3)),
+    st.just(Detect()),
+)
 
 
 class TestParse:
@@ -116,6 +129,12 @@ class TestParse:
             parse(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    def test_integer_past_the_conversion_limit_is_a_parse_error(self):
+        # Python's int() refuses strings of more than 4300 digits.
+        with pytest.raises(ParseError) as err:
+            parse("SOURCE pol=H oam=" + "1" * 5000)
+        assert (err.value.line, err.value.column) == (1, 18)
+
     def test_exponent_numbers_accepted(self):
         circuit = parse("SOURCE pol=H oam=1\nHWP angle=2.25e1")
         assert circuit.statements[1] == Hwp(22.5)
@@ -168,6 +187,25 @@ class TestCircuitInvariants:
     def test_zero_charge_cannot_drive_the_gate(self):
         with pytest.raises(ValueError, match="nonzero"):
             Circuit((Source("H", 0), MziCnot()))
+
+    @settings(max_examples=300)
+    @given(st.lists(any_statement, max_size=6))
+    @example([])
+    @example([Hwp(1.0), Source("H", 1)])
+    @example([Source("H", 1), Source("V", 1)])
+    @example([Source("H", 1), Detect(), Hwp(1.0)])
+    @example([Source("H", 1), Detect(), Detect()])
+    @example([Source("H", 0), MziCnot()])
+    def test_parse_and_circuit_reject_alike(self, statements):
+        text = "".join(format_statement(s) + "\n" for s in statements)
+        try:
+            expected = Circuit(tuple(statements))
+        except ValueError as err:
+            with pytest.raises(ParseError) as parse_err:
+                parse(text)
+            assert parse_err.value.message == str(err)
+        else:
+            assert parse(text) == expected
 
 
 class TestRunLogical:

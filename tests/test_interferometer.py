@@ -222,3 +222,18 @@ class TestRouting:
     def test_path_state_requires_normalization(self):
         with pytest.raises(ValueError, match="not normalized"):
             PathState(np.ones((2, 2, 2)), 1)
+
+
+@pytest.mark.parametrize("kind,shape", [(HybridState, (4,)), (PathState, (2, 2, 2))])
+def test_both_state_types_validate_and_freeze_amplitudes(kind, shape):
+    amps = np.zeros(shape)
+    amps.flat[0] = 1.0
+    state = kind(amps, 2)
+    assert state.amplitudes is not amps
+    assert state.amplitudes.dtype == complex and not state.amplitudes.flags.writeable
+    with pytest.raises(ValueError, match="shape"):
+        kind(np.array([1.0, 0.0]), 1)
+    with pytest.raises(ValueError, match="magnitude"):
+        kind(amps, 0)
+    with pytest.raises(ValueError, match="not normalized"):
+        kind(2 * amps, 1)

@@ -78,6 +78,20 @@ class TestGrid:
             Grid(128, 0.0)
 
 
+class TestScalarField:
+    def test_complex_array_is_frozen_not_copied(self, fast_grid):
+        samples = np.ones((fast_grid.n, fast_grid.n), dtype=complex)
+        field = ScalarField(samples, fast_grid, LAM)
+        assert field.samples is samples
+        assert not samples.flags.writeable
+
+    def test_other_input_is_converted(self, fast_grid):
+        samples = np.ones((fast_grid.n, fast_grid.n))
+        field = ScalarField(samples, fast_grid, LAM)
+        assert field.samples.dtype == complex and not field.samples.flags.writeable
+        assert samples.flags.writeable
+
+
 class TestLgMode:
     def test_center_null_for_nonzero_charge(self, fast_grid):
         field = lg_mode(fast_grid, 1, W0, LAM)
