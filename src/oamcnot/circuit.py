@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +56,7 @@ _AXIS_BY_LABEL = {
 
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 class ParseError(Exception):
@@ -67,10 +68,6 @@ class ParseError(Exception):
         self.column = column
         self.message = message
         self.token = token
-
-
-class CircuitError(RuntimeError):
-    """Semantic error while interpreting a circuit."""
 
 
 class ArgumentError(ValueError):
@@ -194,17 +191,7 @@ class Circuit:
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Whitespace-separated tokens with their 1-based start columns."""
-    tokens = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(line) and not line[i].isspace():
-            i += 1
-        tokens.append((line[start:i], start + 1))
-    return tokens
+    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
 def _split_kv(
@@ -428,19 +415,18 @@ def run_logical(circuit: Circuit) -> LogicalRun:
 
 @dataclass(frozen=True)
 class WaveOutcome:
-    """One polarization outcome rendered through the wave pipeline."""
+    """One polarization outcome rendered through the wave pipeline;
+    ``readout`` is None unless the circuit has TRIAPERTURE and DETECT."""
 
     axis: PolarizationAxis
     probability: float
     intensity_map: np.ndarray
-    far_grid: Grid
-    readout: ReadoutResult
+    readout: ReadoutResult | None
 
 
 @dataclass(frozen=True)
 class WaveRun:
     logical: LogicalRun
-    aperture: ApertureSpec
     outcomes: tuple[WaveOutcome, ...]
 
 
@@ -495,23 +481,6 @@ def synthesize_field(
     return ScalarField(samples, grid, params.wavelength)
 
 
-def render_outcomes(
-    run: LogicalRun, grid: Grid, params: OpticalParams, aperture: ApertureSpec | None
-) -> Iterator[tuple[PolarizationAxis, float, np.ndarray, Grid]]:
-    """Yield (axis, probability, camera image, far-field grid) for each
-    polarization outcome, one outcome at a time.  The aperture mask (if
-    any) is built when the first outcome is rendered, so a circuit whose
-    beam is blocked builds none."""
-    mask = None
-    for axis, probability in outcome_axes(run):
-        if aperture is not None and mask is None:
-            mask = aperture_mask(grid, aperture)
-        img, far_grid = render_image(
-            synthesize_field(run, axis, grid, params), mask, params.focal_length
-        )
-        yield axis, probability, img, far_grid
-
-
 def run_wave(
     circuit: Circuit,
     grid: Grid,
@@ -519,19 +488,23 @@ def run_wave(
     *,
     threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
 ) -> WaveRun:
-    """Render each polarization outcome through aperture, lens, and readout."""
+    """Render each polarization outcome through the aperture (if any) and
+    the lens, and read it out when the circuit has TRIAPERTURE and DETECT.
+    The mask is built with the first outcome, so a blocked beam builds none."""
     aperture_stmt = circuit.first_of(TriangleAperture)
-    if aperture_stmt is None or circuit.first_of(Detect) is None:
-        raise CircuitError(
-            "wave-layer run needs both TRIAPERTURE and DETECT in the circuit"
-        )
-    aperture = aperture_stmt.spec
+    aperture = None if aperture_stmt is None else aperture_stmt.spec
+    reads_out = aperture is not None and circuit.first_of(Detect) is not None
     logical = run_logical(circuit)
-    outcomes = tuple(
-        WaveOutcome(
-            axis, probability, img, far_grid,
-            read_image(img, far_grid, aperture, params, threshold_frac),
+    mask = None
+    outcomes = []
+    for axis, probability in outcome_axes(logical):
+        if aperture is not None and mask is None:
+            mask = aperture_mask(grid, aperture)
+        img, far_grid = render_image(
+            synthesize_field(logical, axis, grid, params), mask, params.focal_length
         )
-        for axis, probability, img, far_grid in render_outcomes(logical, grid, params, aperture)
-    )
-    return WaveRun(logical, aperture, outcomes)
+        readout = (
+            read_image(img, far_grid, aperture, params, threshold_frac) if reads_out else None
+        )
+        outcomes.append(WaveOutcome(axis, probability, img, readout))
+    return WaveRun(logical, tuple(outcomes))

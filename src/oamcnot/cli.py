@@ -44,7 +44,8 @@ TRUTH_TABLE_INPUTS = (("H", 1), ("H", -1), ("V", -1), ("V", 1))
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run parameters; defaults are the reference experiment."""
+    """Resolved run parameters; defaults are the reference experiment.
+    ``grid`` is built on construction, so a bad grid size is refused here."""
 
     grid_n: int = 1024
     window_mm: float = 8.0
@@ -66,10 +67,7 @@ class RunConfig:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.mode not in MODE_LABELS:
             raise ValueError(f"mode must be one of {MODE_LABELS}, got {self.mode!r}")
-
-    @property
-    def grid(self) -> Grid:
-        return Grid(self.grid_n, self.window_mm * 1e-3)
+        object.__setattr__(self, "grid", Grid(self.grid_n, self.window_mm * 1e-3))
 
     @property
     def optical_params(self) -> OpticalParams:
@@ -215,7 +213,7 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
             )
             rows_ok += int(ok)
             _save_outputs(outcome.intensity_map, f"truth_{pol}{ell:+d}", config)
-        except (ValueError, ReadoutError, dsl.CircuitError) as exc:
+        except (ValueError, ReadoutError) as exc:
             lines.append(f"{pol},{ell:+d},err,err,err,err,no")
             errors.append(f"row_error={pol},{ell:+d}: {exc}")
     lines.extend(errors)
@@ -260,7 +258,8 @@ def _expected_outcome_charge(logical: dsl.LogicalRun, axis) -> tuple[int, str] |
 
 def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
     try:
-        text = open(circuit_path).read()
+        with open(circuit_path) as fh:
+            text = fh.read()
     except OSError as exc:
         stream.write(f"io error: {exc}\n")
         return EXIT_IO
@@ -278,7 +277,13 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
     for stmt_line in dsl.format_circuit(circ).rstrip("\n").split("\n"):
         lines.append(f"stmt={stmt_line}")
 
-    logical = dsl.run_logical(circ)
+    try:
+        wave = dsl.run_wave(
+            circ, config.grid, config.optical_params, threshold_frac=config.threshold
+        )
+        logical, outcomes, wave_error = wave.logical, wave.outcomes, None
+    except (ReadoutError, ValueError) as exc:
+        logical, outcomes, wave_error = dsl.run_logical(circ), (), str(exc)
     if logical.final_state is None:
         lines.append("final_state=none (zero-probability polarizer outcome)")
     else:
@@ -293,58 +298,31 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
         )
 
     status = "ok"
-    aperture_stmt = circ.first_of(dsl.TriangleAperture)
-    has_detect = circ.first_of(dsl.Detect) is not None
-    if aperture_stmt is not None and has_detect:
-        try:
-            wave = dsl.run_wave(
-                circ, config.grid, config.optical_params,
-                threshold_frac=config.threshold,
-            )
-        except (ReadoutError, ValueError, dsl.CircuitError) as exc:
-            lines.append(f"wave_error={exc}")
-            status = "mismatch"
-            wave = None
-        if wave is not None:
-            for outcome in wave.outcomes:
-                expected = _expected_outcome_charge(logical, outcome.axis)
-                got = (outcome.readout.magnitude, outcome.readout.sign)
-                agreement = "n/a" if expected is None else (
-                    "yes" if got == expected else "no"
-                )
-                if agreement == "no":
-                    status = "mismatch"
-                lines.append(f"outcome_axis={outcome.axis.value}")
-                lines.append(f"outcome_probability={outcome.probability!r}")
-                lines.append(f"outcome_sign={outcome.readout.sign}")
-                lines.append(f"outcome_magnitude={outcome.readout.magnitude}")
-                lines.append(f"outcome_spots_per_side={outcome.readout.spots_per_side}")
-                lines.append(
-                    f"outcome_orientation_score={outcome.readout.orientation_score:.9f}"
-                )
-                lines.append(f"outcome_agreement={agreement}")
-                path = _save_outputs(
-                    outcome.intensity_map, f"simulate_{outcome.axis.value}", config
-                )
-                if path is not None:
-                    lines.append(f"outcome_image={path}")
-    else:
-        missing = "TRIAPERTURE" if aperture_stmt is None else "DETECT"
-        lines.append(f"readout=none (missing {missing})")
+    has_aperture = circ.first_of(dsl.TriangleAperture) is not None
+    if not has_aperture or circ.first_of(dsl.Detect) is None:
+        lines.append(f"readout=none (missing {'DETECT' if has_aperture else 'TRIAPERTURE'})")
         status = "no-readout"
-        aperture = None if aperture_stmt is None else aperture_stmt.spec
-        try:
-            for axis, probability, img, _ in dsl.render_outcomes(
-                logical, config.grid, config.optical_params, aperture
-            ):
-                lines.append(f"outcome_axis={axis.value}")
-                lines.append(f"outcome_probability={probability!r}")
-                path = _save_outputs(img, f"simulate_{axis.value}", config)
-                if path is not None:
-                    lines.append(f"outcome_image={path}")
-        except ValueError as exc:
-            lines.append(f"wave_error={exc}")
-            status = "mismatch"
+    if wave_error is not None:
+        lines.append(f"wave_error={wave_error}")
+        status = "mismatch"
+    for outcome in outcomes:
+        lines.append(f"outcome_axis={outcome.axis.value}")
+        lines.append(f"outcome_probability={outcome.probability!r}")
+        result = outcome.readout
+        if result is not None:
+            expected = _expected_outcome_charge(logical, outcome.axis)
+            got = (result.magnitude, result.sign)
+            agreement = "n/a" if expected is None else ("yes" if got == expected else "no")
+            if agreement == "no":
+                status = "mismatch"
+            lines.append(f"outcome_sign={result.sign}")
+            lines.append(f"outcome_magnitude={result.magnitude}")
+            lines.append(f"outcome_spots_per_side={result.spots_per_side}")
+            lines.append(f"outcome_orientation_score={result.orientation_score:.9f}")
+            lines.append(f"outcome_agreement={agreement}")
+        path = _save_outputs(outcome.intensity_map, f"simulate_{outcome.axis.value}", config)
+        if path is not None:
+            lines.append(f"outcome_image={path}")
     lines.append(f"status={status}")
     _emit(lines, stream, config, "simulate")
     return EXIT_MISMATCH if status == "mismatch" else EXIT_OK
@@ -445,7 +423,6 @@ def main(argv: list[str] | None = None, stream=None) -> int:
             )
     try:
         config = _config_from_args(args)
-        config.grid  # validate the grid geometry before running anything
     except ValueError as exc:
         stream.write(f"config error: {exc}\n")
         return EXIT_PARSE

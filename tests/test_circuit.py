@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from oamcnot import circuit
 from oamcnot.circuit import (
     Circuit,
-    CircuitError,
     Detect,
     Hwp,
     MziCnot,
@@ -22,7 +21,8 @@ from oamcnot.circuit import (
     synthesize_field,
 )
 from oamcnot.hybrid import PolarizationAxis, bell_state
-from oamcnot.wavefield import Grid, OpticalParams, lg_mode
+from oamcnot.readout import render_image
+from oamcnot.wavefield import Grid, OpticalParams, aperture_mask, lg_mode
 
 REFERENCE_TEXT = (
     "SOURCE pol=V oam=1\n"
@@ -134,6 +134,30 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("SOURCE pol=H oam=" + "1" * 5000)
         assert (err.value.line, err.value.column) == (1, 18)
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from(" \t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2003\u2028\u3000"),
+                st.characters(),
+            ),
+            max_size=40,
+        )
+    )
+    @example("SOURCE\x1cpol=H\xa0oam=1\u2003 # x")
+    def test_tokens_and_columns_match_a_character_loop(self, line):
+        # The character-by-character tokenizer that the regex replaced.
+        expected = []
+        i = 0
+        while i < len(line):
+            if line[i].isspace():
+                i += 1
+                continue
+            start = i
+            while i < len(line) and not line[i].isspace():
+                i += 1
+            expected.append((line[start:i], start + 1))
+        assert circuit._tokenize(line) == expected
 
     def test_exponent_numbers_accepted(self):
         circuit = parse("SOURCE pol=H oam=1\nHWP angle=2.25e1")
@@ -296,10 +320,20 @@ class TestRunWave:
             assert outcome.readout.sign == ("+" if oam_bit == 0 else "-")
 
     def test_requires_aperture_and_detect(self, fast_grid, params):
-        with pytest.raises(CircuitError, match="TRIAPERTURE"):
-            run_wave(parse("SOURCE pol=H oam=1\nDETECT"), fast_grid, params)
-        with pytest.raises(CircuitError, match="TRIAPERTURE"):
-            run_wave(parse("SOURCE pol=H oam=1\nTRIAPERTURE side=2"), fast_grid, params)
+        # Without both, every outcome is still rendered, through the mask
+        # only when there is a TRIAPERTURE, but none is read out.
+        mask = aperture_mask(fast_grid, TriangleAperture(2).spec)
+        for text, outcome_mask in (
+            ("SOURCE pol=D oam=1\nDETECT", None),
+            ("SOURCE pol=D oam=1\nTRIAPERTURE side=2", mask),
+        ):
+            wave = run_wave(parse(text), fast_grid, params)
+            assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
+            for outcome in wave.outcomes:
+                assert outcome.readout is None
+                field = synthesize_field(wave.logical, outcome.axis, fast_grid, params)
+                img, _ = render_image(field, outcome_mask, params.focal_length)
+                assert np.array_equal(outcome.intensity_map, img)
 
     def test_no_polarizer_renders_both_outcomes(self, fast_grid, params):
         text = "SOURCE pol=D oam=1\nTRIAPERTURE side=2\nDETECT"
@@ -354,11 +388,12 @@ class TestSynthesizeField:
             assert [args[1] for args in calls] == [1, -1]
 
 
-class TestRenderOutcomes:
+class TestRunWaveMask:
     def test_blocked_beam_builds_no_mask(self, monkeypatch, fast_grid, params):
         calls = counting(monkeypatch, "aperture_mask")
-        text = "SOURCE pol=H oam=1\nPOLARIZER V\nTRIAPERTURE side=2\nDETECT"
-        assert run_wave(parse(text), fast_grid, params).outcomes == ()
+        blocked = "SOURCE pol=H oam=1\nPOLARIZER V\nTRIAPERTURE side=2"
+        for text in (blocked + "\nDETECT", blocked):
+            assert run_wave(parse(text), fast_grid, params).outcomes == ()
         assert calls == []
 
     def test_one_mask_for_all_outcomes(self, monkeypatch, fast_grid, params):

@@ -32,7 +32,8 @@ def run_cli(argv):
 
 
 def read_pgm(path):
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     magic, dims, maxval, raster = data.split(b"\n", 3)
     assert magic == b"P5"
     w, h = (int(v) for v in dims.split())
@@ -282,3 +283,5 @@ def test_run_config_validation():
         RunConfig(threshold=1.5)
     with pytest.raises(ValueError, match="mode"):
         RunConfig(mode="other")
+    with pytest.raises(ValueError, match="power of two"):
+        RunConfig(grid_n=100)
