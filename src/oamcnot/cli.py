@@ -19,19 +19,8 @@ import numpy as np
 from . import circuit as dsl
 from .hybrid import basis_state, bell_state, concurrence, fidelity
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, STRICT_PARITY
-from .readout import (
-    DEFAULT_THRESHOLD_FRAC,
-    ReadoutError,
-    SIGN_UNDEFINED,
-    readout_roundtrip,
-)
-from .wavefield import (
-    MAX_CHARGE,
-    ApertureSpec,
-    Grid,
-    OpticalParams,
-    TRIANGLE,
-)
+from .readout import DEFAULT_THRESHOLD_FRAC, ReadoutError
+from .wavefield import MAX_CHARGE, Grid, OpticalParams
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -141,15 +130,18 @@ def _save_outputs(img: np.ndarray, stem: str, config: RunConfig) -> str | None:
     return path
 
 
-def _basis_readout(state) -> tuple[str, int] | None:
-    """(pol label, signed charge) when the state is a basis state."""
-    probs = np.abs(state.amplitudes) ** 2
-    idx = int(np.argmax(probs))
-    if probs[idx] < 1.0 - 1e-9:
-        return None
-    pol = "H" if idx < 2 else "V"
-    ell = state.oam_magnitude * (1 if idx % 2 == 0 else -1)
-    return pol, ell
+def _expected_charge(logical: dsl.LogicalRun, axis) -> int | None:
+    """Signed charge the readout of an outcome should report (0 for a
+    zero-charge source), or None when the outcome's OAM is a genuine
+    superposition.  This is the one judge of every command's readouts."""
+    if logical.oam_is_zero:
+        return 0
+    state = logical.final_state
+    weights = np.abs(dsl._oam_components(state, axis)) ** 2
+    for weight, sign in zip(weights, (1, -1)):
+        if weight > 1.0 - 1e-9:
+            return sign * state.oam_magnitude
+    return None
 
 
 def _expected_truth_output(pol: str, ell: int, mode: str) -> tuple[str, int]:
@@ -189,27 +181,21 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
                 _row_circuit(pol, ell, config), config.grid, config.optical_params,
                 threshold_frac=config.threshold,
             )
-            logical = wave.logical
-            basis = _basis_readout(logical.final_state)
             (outcome,) = wave.outcomes
             exp_amps = basis_state(
                 0 if expected[0] == "H" else 1, 0 if expected[1] > 0 else 1, abs(ell)
             ).amplitudes
             deviation = float(
-                np.max(np.abs(logical.final_state.amplitudes - exp_amps))
+                np.max(np.abs(wave.logical.final_state.amplitudes - exp_amps))
             )
+            logical_ell = _expected_charge(wave.logical, outcome.axis)
             wave_ell = outcome.readout.topological_charge
-            ok = (
-                deviation < 1e-12
-                and basis == expected
-                and outcome.axis.value == expected[0]
-                and outcome.readout.magnitude == abs(expected[1])
-                and wave_ell == expected[1]
-            )
+            ok = deviation < 1e-12 and wave_ell == logical_ell
+            axis = outcome.axis.value
             lines.append(
                 f"{pol},{ell:+d},"
-                + (f"{basis[0]},{basis[1]:+d}," if basis else "?,?,")
-                + f"{outcome.axis.value},{wave_ell:+d},{'yes' if ok else 'no'}"
+                + (f"{axis},{logical_ell:+d}," if logical_ell is not None else "?,?,")
+                + f"{axis},{wave_ell:+d},{'yes' if ok else 'no'}"
             )
             rows_ok += int(ok)
             _save_outputs(outcome.intensity_map, f"truth_{pol}{ell:+d}", config)
@@ -243,28 +229,30 @@ def cmd_bell(config: RunConfig, stream) -> int:
     return EXIT_OK
 
 
-def _expected_outcome_charge(logical: dsl.LogicalRun, axis) -> tuple[int, str] | None:
-    """(magnitude, sign) the readout should report for an outcome, or None
-    when the outcome's OAM is a genuine superposition."""
-    if logical.oam_is_zero:
-        return 0, SIGN_UNDEFINED
-    state = logical.final_state
-    weights = np.abs(dsl._oam_components(state, axis)) ** 2
-    for weight, sign in zip(weights, "+-"):
-        if weight > 1.0 - 1e-9:
-            return state.oam_magnitude, sign
-    return None
+def _read_circuit(path: str) -> dsl.Circuit:
+    """Parse a circuit file.  A byte that is not UTF-8 is a ParseError at
+    its line and column, counted as parse counts them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so exc.start is a file offset
+            before = exc.object[: exc.start].decode("utf-8")
+            before = before.replace("\r\n", "\n").replace("\r", "\n")
+            raise dsl.ParseError(
+                before.count("\n") + 1,
+                len(before) - before.rfind("\n"),
+                f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
+            ) from None
+    return dsl.parse(text)
 
 
 def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
     try:
-        with open(circuit_path) as fh:
-            text = fh.read()
+        circ = _read_circuit(circuit_path)
     except OSError as exc:
         stream.write(f"io error: {exc}\n")
         return EXIT_IO
-    try:
-        circ = dsl.parse(text)
     except dsl.ParseError as exc:
         stream.write(
             f"parse error: {circuit_path}: line {exc.line}, column {exc.column}: "
@@ -310,8 +298,8 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
         lines.append(f"outcome_probability={outcome.probability!r}")
         result = outcome.readout
         if result is not None:
-            expected = _expected_outcome_charge(logical, outcome.axis)
-            got = (result.magnitude, result.sign)
+            expected = _expected_charge(logical, outcome.axis)
+            got = result.topological_charge
             agreement = "n/a" if expected is None else ("yes" if got == expected else "no")
             if agreement == "no":
                 status = "mismatch"
@@ -334,23 +322,23 @@ def cmd_readout_sweep(ell_min: int, ell_max: int, config: RunConfig, stream) -> 
     lines.append(f"ell_min={ell_min}")
     lines.append(f"ell_max={ell_max}")
     csv = ["ell,spots_per_side,sign,magnitude,orientation_score,correct,note"]
-    aperture = ApertureSpec(TRIANGLE, config.side_mm * 1e-3, 0.0)
     all_correct = True
     for ell in range(ell_min, ell_max + 1):
+        circ = dsl.Circuit(
+            (dsl.Source("H", ell), dsl.TriangleAperture(config.side_mm), dsl.Detect())
+        )
         try:
-            result = readout_roundtrip(
-                ell, config.optical_params, config.grid, aperture,
-                threshold_frac=config.threshold,
+            wave = dsl.run_wave(
+                circ, config.grid, config.optical_params, threshold_frac=config.threshold
             )
         except (ReadoutError, ValueError) as exc:
             note = str(exc).replace(",", ";")
             csv.append(f"{ell},,,,,no,{note}")
             all_correct = False
             continue
-        if ell == 0:
-            correct = result.magnitude == 0 and result.sign == SIGN_UNDEFINED
-        else:
-            correct = result.topological_charge == ell
+        (outcome,) = wave.outcomes
+        result = outcome.readout
+        correct = result.topological_charge == _expected_charge(wave.logical, outcome.axis)
         all_correct &= correct
         csv.append(
             f"{ell},{result.spots_per_side},{result.sign},{result.magnitude},"

@@ -128,11 +128,12 @@ def find_peaks(
 ) -> PeakSet:
     """Detect bright spots in an intensity image.
 
-    A spot is a strict 8-neighbor local maximum at or above
-    ``threshold_frac`` times the global maximum.  Candidates are then
-    pruned greedily in descending value: a candidate closer than
-    ``min_separation`` (meters) to an already accepted peak is dropped.
-    Ordering is deterministic: value descending, ties row-major.
+    A spot is an 8-neighbor local maximum (no neighbor is larger) at or
+    above ``threshold_frac`` times the global maximum, so every pixel of
+    a flat top is a candidate.  Candidates are then pruned greedily in
+    descending value: a candidate closer than ``min_separation`` (meters)
+    to an already accepted peak is dropped, which keeps one pixel of a
+    tied top.  Ordering is deterministic: value descending, ties row-major.
     """
     img = np.asarray(img, dtype=float)
     if img.shape != (grid.n, grid.n):
@@ -158,7 +159,7 @@ def find_peaks(
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            is_max &= img > padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n]
+            is_max &= img >= padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n]
     is_max &= img >= threshold_frac * gmax
 
     rows, cols = np.nonzero(is_max)

@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from oamcnot.circuit import format_circuit
 from oamcnot.cli import (
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
     RunConfig,
+    _row_circuit,
     main,
     write_image,
 )
@@ -213,6 +215,21 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "line 2, column 11" in report
 
+    def test_non_utf8_byte_is_a_parse_error_at_its_position(self, tmp_path):
+        circ = tmp_path / "bad.circ"
+        circ.write_bytes(b"SOURCE pol=H oam=1\n\xff\n")
+        code, report = run_cli(["simulate", str(circ), *FAST])
+        assert code == EXIT_PARSE
+        assert report == (
+            f"parse error: {circ}: line 2, column 1: "
+            "byte 0xff is not UTF-8 (invalid start byte)\n"
+        )
+        # lines end as parse sees them; columns count characters, not bytes
+        circ.write_bytes(b"SOURCE pol=H oam=1\r\nHWP angle=1 # \xc3\xa9\xe9\n")
+        code, report = run_cli(["simulate", str(circ), *FAST])
+        assert code == EXIT_PARSE
+        assert "line 2, column 16: byte 0xe9 is not UTF-8" in report
+
     def test_missing_file(self, tmp_path):
         code, report = run_cli(["simulate", str(tmp_path / "nope.circ"), *FAST])
         assert code == EXIT_IO
@@ -239,6 +256,55 @@ class TestReadoutSweep:
         with pytest.raises(SystemExit) as err:
             main(["readout-sweep", "--ell-min", "-11", "--ell-max", "0"], io.StringIO())
         assert err.value.code == 2
+
+
+def report_values(report, key):
+    return [ln.split("=", 1)[1] for ln in report.splitlines() if ln.startswith(key + "=")]
+
+
+class TestCommandsAgree:
+    @pytest.mark.parametrize("ell_min, ell_max", [(-2, 2), (9, 10)])
+    def test_sweep_rows_match_simulate(self, tmp_path, ell_min, ell_max):
+        code, sweep = run_cli(
+            ["readout-sweep", "--ell-min", str(ell_min), "--ell-max", str(ell_max), *FAST]
+        )
+        lines = sweep.splitlines()
+        header = lines.index("ell,spots_per_side,sign,magnitude,orientation_score,correct,note")
+        rows = lines[header + 1 : header + 2 + ell_max - ell_min]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(ell_min, ell_max + 1))
+        for row in rows:
+            ell, spots, sign, magnitude, score, correct, note = row.split(",", 6)
+            circ = tmp_path / f"ell{ell}.circ"
+            circ.write_text(f"SOURCE pol=H oam={ell}\nTRIAPERTURE side=2\nDETECT\n")
+            sim_code, report = run_cli(["simulate", str(circ), *FAST])
+            errors = report_values(report, "wave_error")
+            if correct == "no":
+                assert [e.replace(",", ";") for e in errors] == [note]
+                assert sim_code == EXIT_MISMATCH
+                continue
+            assert errors == []
+            # a source with no polarizer renders one outcome, on its own axis
+            assert report_values(report, "outcome_axis") == ["H"]
+            assert report_values(report, "outcome_sign") == [sign]
+            assert report_values(report, "outcome_magnitude") == [magnitude]
+            assert report_values(report, "outcome_spots_per_side") == [spots]
+            assert report_values(report, "outcome_orientation_score") == [score]
+            assert report_values(report, "outcome_agreement") == [correct]
+        assert code == (EXIT_OK if ell_max < 9 else EXIT_MISMATCH)
+
+    def test_truth_table_row_matches_simulate(self, tmp_path):
+        code, table = run_cli(["truth-table", *FAST])
+        assert code == EXIT_OK
+        (row,) = [ln for ln in table.splitlines() if ln.startswith("V,-1,")]
+        wave_pol, wave_ell, ok = row.split(",")[4:]
+        circ = tmp_path / "row.circ"
+        circ.write_text(format_circuit(_row_circuit("V", -1, RunConfig(grid_n=256))))
+        code, report = run_cli(["simulate", str(circ), *FAST])
+        assert code == EXIT_OK
+        assert report_values(report, "outcome_axis") == [wave_pol]
+        assert report_values(report, "outcome_sign") == [wave_ell[0]]
+        assert report_values(report, "outcome_magnitude") == [wave_ell[1:]]
+        assert report_values(report, "outcome_agreement") == [ok]
 
 
 class TestExitCodes:

@@ -88,6 +88,15 @@ class TestFindPeaks:
         peaks = find_peaks(img, 0.3, 2 * fast_grid.pitch, fast_grid)
         assert peaks.peaks == ()
 
+    def test_flat_top_keeps_its_first_pixel(self, fast_grid):
+        # a spot whose top spans two equal pixels is one peak, not none
+        img = gaussian_spots(fast_grid, [(0.0, 0.0)]) * 0.5
+        c = fast_grid.n // 2
+        img[c, c] = img[c, c + 1] = 1.0
+        peaks = find_peaks(img, 0.3, 2 * fast_grid.pitch, fast_grid)
+        coords = fast_grid.coords()
+        assert [(p.x, p.y) for p in peaks.peaks] == [(coords[c], coords[c])]
+
     def test_nan_rejected(self, fast_grid):
         img = np.zeros((fast_grid.n, fast_grid.n))
         img[3, 3] = np.nan
@@ -139,6 +148,18 @@ class TestClassify:
         assert result.topological_charge == ell
         assert result.spots_per_side == abs(ell) + 1
         assert abs(result.orientation_score) >= 0.05
+
+    @pytest.mark.parametrize("ell", [-3, -2, -1, 1, 2, 3])
+    @pytest.mark.parametrize("orientation_deg", [15, 45, 75, 105])
+    def test_reads_where_a_spot_top_is_two_equal_pixels(
+        self, ell, orientation_deg, fast_grid, params
+    ):
+        # at 15 + 30k degrees the lattice is mirror-symmetric about a pixel
+        # diagonal, so a spot can peak on two pixels equal to the last bit
+        aperture = ApertureSpec(TRIANGLE, 2e-3, np.radians(orientation_deg))
+        result = readout_roundtrip(ell, params, fast_grid, aperture)
+        assert result.topological_charge == ell
+        assert result.spots_per_side == abs(ell) + 1
 
     def test_zero_charge_undefined_sign(self, fast_grid, params, paper_aperture):
         result = readout_roundtrip(0, params, fast_grid, paper_aperture)
