@@ -34,7 +34,7 @@ from .hybrid import (
     ZERO_PROBABILITY,
     project_polarization,
 )
-from .interferometer import ElementConfig, MODE_LABELS, PAPER_DEFAULT, compose_mzi
+from .interferometer import MODE_LABELS, PAPER_DEFAULT, compose_mzi
 from .readout import DEFAULT_THRESHOLD_FRAC, ReadoutResult, read_image, render_image
 from .wavefield import (
     ApertureSpec,
@@ -302,29 +302,30 @@ def parse(text: str) -> Circuit:
         raise ParseError(1, 1, str(exc)) from None
 
 
-def _format_number(x: float) -> str:
+def format_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 
 
+# statement type -> (keyword, parameters as (key, field)), read off _SYNTAX.
+_FORMAT = {
+    kind: (kw, tuple((key, field) for key, field, _, _ in params))
+    for kw, (kind, params) in _SYNTAX.items()
+}
+
+
 def format_statement(s: Statement) -> str:
     """Canonical text of one statement: uppercase keyword, defaults
     rendered explicitly."""
-    if isinstance(s, Source):
-        return f"SOURCE pol={s.pol} oam={s.oam}"
-    if isinstance(s, Hwp):
-        return f"HWP angle={_format_number(s.angle_deg)}"
-    if isinstance(s, MziCnot):
-        return f"MZI_CNOT mode={s.mode}"
+    kw, params = _FORMAT[type(s)]
     if isinstance(s, Polarizer):
-        return f"POLARIZER {s.axis}"
-    if isinstance(s, TriangleAperture):
-        return (
-            f"TRIAPERTURE side={_format_number(s.side_mm)} "
-            f"orientation={_format_number(s.orientation_deg)}"
-        )
-    return "DETECT"
+        return f"{kw} {s.axis}"
+    parts = [kw]
+    for key, field in params:
+        value = getattr(s, field)
+        parts.append(f"{key}={value if isinstance(value, str) else format_number(value)}")
+    return " ".join(parts)
 
 
 def format_circuit(circuit: Circuit) -> str:
@@ -400,7 +401,7 @@ def run_logical(circuit: Circuit) -> LogicalRun:
             amps = np.kron(_hwp_matrix(stmt.angle_deg), np.eye(2)) @ state.amplitudes
             state = HybridState(amps, state.oam_magnitude)
         elif isinstance(stmt, MziCnot):
-            matrix = compose_mzi(ElementConfig(mode_label=stmt.mode))
+            matrix = compose_mzi(stmt.mode)
             state = HybridState(matrix @ state.amplitudes, state.oam_magnitude)
         elif isinstance(stmt, Polarizer):
             axis = _AXIS_BY_LABEL[stmt.axis]
@@ -436,24 +437,40 @@ def _oam_components(state: HybridState, axis: PolarizationAxis) -> np.ndarray:
     return chi / np.linalg.norm(chi)
 
 
-def outcome_axes(run: LogicalRun) -> list[tuple[PolarizationAxis, float]]:
-    """(axis, probability) pairs to render.
+def expected_charge(run: LogicalRun, axis: PolarizationAxis) -> int | None:
+    """Signed charge the readout of an outcome should report (0 for a
+    zero-charge source), or None when the outcome's OAM is a genuine
+    superposition.  This is the one judge of every command's readouts."""
+    if run.oam_is_zero:
+        return 0
+    state = run.final_state
+    weights = np.abs(_oam_components(state, axis)) ** 2
+    for weight, sign in zip(weights, (1, -1)):
+        if weight > 1.0 - 1e-9:
+            return sign * state.oam_magnitude
+    return None
 
-    With polarizers in the circuit the analyzer axis is fixed and the
-    probability is the survival product; otherwise both H and V outcomes
-    of the final state are rendered.
+
+def outcome_axes(run: LogicalRun) -> list[tuple[PolarizationAxis, float]]:
+    """(axis, probability) pairs to render; each probability includes the
+    survival product of the circuit's polarizers.
+
+    The last polarizer fixes the analyzer axis unless a half-wave plate
+    follows it; otherwise the H and V outcomes of the final state are
+    rendered.
     """
+    survival = 1.0
+    for event in run.projections:
+        survival *= event.probability
+    if survival <= ZERO_PROBABILITY:
+        return []
     if run.projections:
-        survival = 1.0
-        for event in run.projections:
-            survival *= event.probability
-        axis = run.projections[-1].axis
-        return [(axis, survival)] if survival > ZERO_PROBABILITY else []
+        last = run.projections[-1]
+        if not any(isinstance(s, Hwp) for s in run.circuit.statements[last.index + 1 :]):
+            return [(last.axis, survival)]
     axes = []
-    final = run.final_state
-    assert final is not None
     for axis in (PolarizationAxis.HORIZONTAL, PolarizationAxis.VERTICAL):
-        probability, _ = project_polarization(final, axis)
+        probability = survival * project_polarization(run.final_state, axis)[0]
         if probability > ZERO_PROBABILITY:
             axes.append((axis, probability))
     return axes

@@ -76,7 +76,7 @@ def _echo_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return dsl._format_number(value)
+        return dsl.format_number(value)
     return str(value)
 
 
@@ -130,20 +130,6 @@ def _save_outputs(img: np.ndarray, stem: str, config: RunConfig) -> str | None:
     return path
 
 
-def _expected_charge(logical: dsl.LogicalRun, axis) -> int | None:
-    """Signed charge the readout of an outcome should report (0 for a
-    zero-charge source), or None when the outcome's OAM is a genuine
-    superposition.  This is the one judge of every command's readouts."""
-    if logical.oam_is_zero:
-        return 0
-    state = logical.final_state
-    weights = np.abs(dsl._oam_components(state, axis)) ** 2
-    for weight, sign in zip(weights, (1, -1)):
-        if weight > 1.0 - 1e-9:
-            return sign * state.oam_magnitude
-    return None
-
-
 def _expected_truth_output(pol: str, ell: int, mode: str) -> tuple[str, int]:
     """Controlled-flip action on a truth-table input; strict-parity mode
     additionally relabels the target bit on the output."""
@@ -188,7 +174,7 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
             deviation = float(
                 np.max(np.abs(wave.logical.final_state.amplitudes - exp_amps))
             )
-            logical_ell = _expected_charge(wave.logical, outcome.axis)
+            logical_ell = dsl.expected_charge(wave.logical, outcome.axis)
             wave_ell = outcome.readout.topological_charge
             ok = deviation < 1e-12 and wave_ell == logical_ell
             axis = outcome.axis.value
@@ -298,7 +284,7 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
         lines.append(f"outcome_probability={outcome.probability!r}")
         result = outcome.readout
         if result is not None:
-            expected = _expected_charge(logical, outcome.axis)
+            expected = dsl.expected_charge(logical, outcome.axis)
             got = result.topological_charge
             agreement = "n/a" if expected is None else ("yes" if got == expected else "no")
             if agreement == "no":
@@ -338,7 +324,7 @@ def cmd_readout_sweep(ell_min: int, ell_max: int, config: RunConfig, stream) -> 
             continue
         (outcome,) = wave.outcomes
         result = outcome.readout
-        correct = result.topological_charge == _expected_charge(wave.logical, outcome.axis)
+        correct = result.topological_charge == dsl.expected_charge(wave.logical, outcome.axis)
         all_correct &= correct
         csv.append(
             f"{ell},{result.spots_per_side},{result.sign},{result.magnitude},"

@@ -42,47 +42,17 @@ class RoutingError(RuntimeError):
         self.leak = leak
 
 
-@dataclass(frozen=True)
-class ElementConfig:
-    """Optical-element conventions for the interferometer.
+def _strict(mode_label: str) -> bool:
+    """Whether a mode label is strict parity.
 
-    ``pbs_reflection_phase`` is applied on every splitter reflection.
-    The mode label decides how reflections treat the OAM sign: the
-    default mode takes the arms at face value (mirror preserves the
-    sign, pentaprism inverts it), while strict-parity mode toggles the
+    The default mode takes the arms at face value (mirror preserves the
+    OAM sign, pentaprism inverts it), while strict-parity mode toggles the
     sign on every physical reflection: the splitter reflections and the
     mirror flip it, and the pentaprism's two internal reflections cancel.
-    The three flip flags are read-only, derived from the label.
     """
-
-    pbs_reflection_phase: float = 0.0
-    mode_label: str = PAPER_DEFAULT
-
-    def __post_init__(self) -> None:
-        if self.mode_label not in MODE_LABELS:
-            raise ValueError(
-                f"unknown mode label {self.mode_label!r}; expected one of {MODE_LABELS}"
-            )
-
-    @property
-    def pbs_reflection_flips_oam(self) -> bool:
-        return self.mode_label == STRICT_PARITY
-
-    @property
-    def mirror_flips_oam(self) -> bool:
-        return self.mode_label == STRICT_PARITY
-
-    @property
-    def pentaprism_flips_oam(self) -> bool:
-        return self.mode_label == PAPER_DEFAULT
-
-    @classmethod
-    def paper_default(cls) -> "ElementConfig":
-        return cls()
-
-    @classmethod
-    def strict_parity(cls) -> "ElementConfig":
-        return cls(mode_label=STRICT_PARITY)
+    if mode_label not in MODE_LABELS:
+        raise ValueError(f"unknown mode label {mode_label!r}; expected one of {MODE_LABELS}")
+    return mode_label == STRICT_PARITY
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,34 +75,31 @@ def inject_lower(pol: int, sign: int, magnitude: int = 1) -> PathState:
     return PathState(amps, magnitude)
 
 
-def pbs_apply(state: PathState, config: ElementConfig) -> PathState:
+def pbs_apply(state: PathState, mode_label: str) -> PathState:
     """Polarizing splitter: H transmits (path kept), V reflects (path swapped).
 
-    Each reflection multiplies by exp(i * pbs_reflection_phase) and, in
-    strict-parity mode, also toggles the OAM sign.
+    In strict-parity mode each reflection also toggles the OAM sign.
     """
     a = state.amplitudes
     out = np.zeros_like(a)
     out[:, 0, :] = a[:, 0, :]
     reflected = a[::-1, 1, :]
-    if config.pbs_reflection_flips_oam:
-        reflected = reflected[:, ::-1]
-    out[:, 1, :] = np.exp(1j * config.pbs_reflection_phase) * reflected
+    out[:, 1, :] = reflected[:, ::-1] if _strict(mode_label) else reflected
     return PathState(out, state.oam_magnitude)
 
 
-def mirror_apply(state: PathState, config: ElementConfig) -> PathState:
+def mirror_apply(state: PathState, mode_label: str) -> PathState:
     """Plain mirror on the lower arm; the upper arm is untouched."""
     a = state.amplitudes.copy()
-    if config.mirror_flips_oam:
+    if _strict(mode_label):
         a[LOWER] = a[LOWER, :, ::-1]
     return PathState(a, state.oam_magnitude)
 
 
-def pentaprism_apply(state: PathState, config: ElementConfig) -> PathState:
+def pentaprism_apply(state: PathState, mode_label: str) -> PathState:
     """Pentaprism on the upper arm; the lower arm is untouched."""
     a = state.amplitudes.copy()
-    if config.pentaprism_flips_oam:
+    if not _strict(mode_label):
         a[UPPER] = a[UPPER, :, ::-1]
     return PathState(a, state.oam_magnitude)
 
@@ -148,7 +115,7 @@ def _logical_output(state: PathState, input_label: str) -> np.ndarray:
     return state.amplitudes[LOWER].reshape(4)
 
 
-def compose_mzi(config: ElementConfig) -> np.ndarray:
+def compose_mzi(mode_label: str) -> np.ndarray:
     """Logical 4x4 transfer matrix of the full interferometer.
 
     Each logical basis state is injected on the lower input port, pushed
@@ -159,10 +126,10 @@ def compose_mzi(config: ElementConfig) -> np.ndarray:
     for pol in (0, 1):
         for sign in (0, 1):
             s = inject_lower(pol, sign)
-            s = pbs_apply(s, config)
-            s = mirror_apply(s, config)
-            s = pentaprism_apply(s, config)
-            s = pbs_apply(s, config)
+            s = pbs_apply(s, mode_label)
+            s = mirror_apply(s, mode_label)
+            s = pentaprism_apply(s, mode_label)
+            s = pbs_apply(s, mode_label)
             columns.append(_logical_output(s, _BASIS_LABELS[2 * pol + sign]))
     matrix = np.column_stack(columns)
     gram = matrix.conj().T @ matrix

@@ -89,38 +89,30 @@ class PeakSet:
     """Peaks surviving the threshold and separation constraints."""
 
     peaks: tuple[Peak, ...]
-    threshold_frac: float
-    min_separation: float
 
 
 @dataclass(frozen=True)
 class ReadoutResult:
-    """Inferred charge: magnitude |ell|, sign, spots per side, vote margin."""
+    """Signed charge and orientation vote margin; the rest is read off the charge."""
 
-    magnitude: int
-    sign: str
-    spots_per_side: int
+    topological_charge: int
     orientation_score: float
 
-    def __post_init__(self) -> None:
-        if self.magnitude != self.spots_per_side - 1:
-            raise ValueError(
-                f"magnitude {self.magnitude} must be spots_per_side - 1 "
-                f"({self.spots_per_side - 1})"
-            )
-        if (self.sign == SIGN_UNDEFINED) != (self.magnitude == 0):
-            raise ValueError("sign is undefined exactly when the magnitude is 0")
-        if self.sign not in (SIGN_POSITIVE, SIGN_NEGATIVE, SIGN_UNDEFINED):
-            raise ValueError(f"unknown sign label {self.sign!r}")
+    @property
+    def magnitude(self) -> int:
+        return abs(self.topological_charge)
 
     @property
-    def topological_charge(self) -> int:
-        """Signed charge; 0 when the sign is undefined."""
-        if self.sign == SIGN_POSITIVE:
-            return self.magnitude
-        if self.sign == SIGN_NEGATIVE:
-            return -self.magnitude
-        return 0
+    def sign(self) -> str:
+        if self.topological_charge > 0:
+            return SIGN_POSITIVE
+        if self.topological_charge < 0:
+            return SIGN_NEGATIVE
+        return SIGN_UNDEFINED
+
+    @property
+    def spots_per_side(self) -> int:
+        return self.magnitude + 1
 
 
 def find_peaks(
@@ -150,7 +142,7 @@ def find_peaks(
 
     gmax = float(img.max())
     if gmax <= 0.0:
-        return PeakSet((), threshold_frac, min_separation)
+        return PeakSet(())
 
     padded = np.pad(img, 1, constant_values=-np.inf)
     is_max = np.ones_like(img, dtype=bool)
@@ -181,7 +173,7 @@ def find_peaks(
         accepted.append(Peak(float(x), float(y), float(v)))
         ax.append(float(x))
         ay.append(float(y))
-    return PeakSet(tuple(accepted), threshold_frac, min_separation)
+    return PeakSet(tuple(accepted))
 
 
 def count_spots_per_side(peaks: PeakSet) -> int:
@@ -244,7 +236,7 @@ def classify_oam(
     n_side = count_spots_per_side(peaks)
     magnitude = n_side - 1
     if magnitude == 0:
-        return ReadoutResult(0, SIGN_UNDEFINED, 1, 0.0)
+        return ReadoutResult(0, 0.0)
 
     pts = np.array([[p.x, p.y] for p in peaks.peaks])
     rel = pts - pts.mean(axis=0)
@@ -262,8 +254,8 @@ def classify_oam(
     orientation_score = (score_pos - score_neg) / (score_pos + score_neg)
     if abs(orientation_score) < AMBIGUITY_MARGIN:
         raise AmbiguousOrientationError(orientation_score)
-    sign = SIGN_POSITIVE if orientation_score > 0 else SIGN_NEGATIVE
-    return ReadoutResult(magnitude, sign, n_side, orientation_score)
+    charge = magnitude if orientation_score > 0 else -magnitude
+    return ReadoutResult(charge, orientation_score)
 
 
 def default_min_separation(

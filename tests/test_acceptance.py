@@ -24,7 +24,7 @@ from oamcnot.hybrid import (
     concurrence,
     hadamard_pol,
 )
-from oamcnot.interferometer import ElementConfig, compose_mzi, verify_cnot
+from oamcnot.interferometer import PAPER_DEFAULT, STRICT_PARITY, compose_mzi, verify_cnot
 from oamcnot.readout import find_peaks, readout_roundtrip
 from oamcnot.wavefield import (
     ApertureSpec,
@@ -89,14 +89,14 @@ def test_criterion_1_truth_table(tmp_path):
 
 def test_criterion_2_interferometer_composes_to_cnot():
     with criterion(2, "element composition equals CNOT (and its relabeled twin)"):
-        default = compose_mzi(ElementConfig.paper_default())
+        default = compose_mzi(PAPER_DEFAULT)
         assert np.max(np.abs(default - CNOT_MATRIX)) < 1e-12
         assert verify_cnot(default) < 1e-12
-        strict = compose_mzi(ElementConfig.strict_parity())
+        strict = compose_mzi(STRICT_PARITY)
         assert np.max(np.abs(strict - X_TARGET_AFTER_CNOT)) < 1e-12
         # independent brute-force matrix oracle agrees with both
-        assert np.max(np.abs(default - oracle_matrix(ElementConfig.paper_default()))) < 1e-12
-        assert np.max(np.abs(strict - oracle_matrix(ElementConfig.strict_parity()))) < 1e-12
+        assert np.max(np.abs(default - oracle_matrix(PAPER_DEFAULT))) < 1e-12
+        assert np.max(np.abs(strict - oracle_matrix(STRICT_PARITY))) < 1e-12
 
 
 def test_criterion_3_bell_family():
@@ -205,7 +205,7 @@ def test_criterion_7_numerical_soundness(rng):
 def test_criterion_8a_gate_properties():
     with criterion(8, "gate properties on 1000 random states"):
         rng = np.random.default_rng(8)
-        matrix = compose_mzi(ElementConfig.paper_default())
+        matrix = compose_mzi(PAPER_DEFAULT)
         for _ in range(1000):
             amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             amps /= np.linalg.norm(amps)

@@ -354,6 +354,35 @@ class TestRunWave:
         run = run_logical(parse("SOURCE pol=H oam=1\nPOLARIZER V"))
         assert outcome_axes(run) == []
 
+    def test_hwp_after_polarizer_renders_both_outcomes(self, fast_grid, params):
+        # A transparent polarizer before the plate changes nothing.
+        body = "HWP angle=22.5\nMZI_CNOT\nTRIAPERTURE side=2\nDETECT"
+        with_polarizer = run_wave(
+            parse(f"SOURCE pol=H oam=1\nPOLARIZER H\n{body}"), fast_grid, params
+        )
+        without = run_wave(parse(f"SOURCE pol=H oam=1\n{body}"), fast_grid, params)
+        for wave in (with_polarizer, without):
+            assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
+            assert [o.readout.topological_charge for o in wave.outcomes] == [1, -1]
+            for outcome in wave.outcomes:
+                assert abs(outcome.probability - 0.5) < 1e-12
+        assert [o.probability for o in with_polarizer.outcomes] == [
+            o.probability for o in without.outcomes
+        ]
+
+    def test_hwp_after_polarizer_moves_the_outcome_axis(self):
+        run = run_logical(parse("SOURCE pol=H oam=1\nPOLARIZER H\nHWP angle=45"))
+        ((axis, probability),) = outcome_axes(run)
+        assert axis is PolarizationAxis.VERTICAL
+        assert abs(probability - 1.0) < 1e-12
+
+    def test_outcome_probability_includes_polarizer_survival(self):
+        run = run_logical(parse("SOURCE pol=D oam=1\nPOLARIZER H\nHWP angle=22.5"))
+        axes = outcome_axes(run)
+        assert [axis.value for axis, _ in axes] == ["H", "V"]
+        for _, probability in axes:
+            assert abs(probability - 0.25) < 1e-12
+
 
 def counting(monkeypatch, name):
     """Wrap ``circuit.<name>`` so that every call is recorded."""

@@ -1,5 +1,7 @@
 import io
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,17 @@ class TestSimulate:
         assert (out / "simulate_V.npy").exists()
         raw = np.load(out / "simulate_V.npy")
         assert raw.shape == (256, 256)
+
+    def test_readme_example(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Circuit files", 1)[1]
+        block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        circ = tmp_path / "readme.circ"
+        circ.write_text(block)
+        code, report = run_cli(["simulate", str(circ), *FAST])
+        assert code == EXIT_OK
+        assert report_values(report, "outcome_axis") == ["V"]
+        assert report_values(report, "outcome_sign") == ["-"]
 
     def test_without_aperture_reports_no_readout(self, tmp_path):
         circ = tmp_path / "donut.circ"

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from oamcnot.readout import (
     AmbiguousOrientationError,
     ClassificationError,
     PeakSet,
+    ReadoutResult,
     classify_oam,
     count_spots_per_side,
     default_min_separation,
@@ -129,15 +132,24 @@ class TestFindPeaks:
 class TestCountSpotsPerSide:
     @pytest.mark.parametrize("count,n_side", [(1, 1), (3, 2), (6, 3), (10, 4), (21, 6)])
     def test_triangular_counts(self, count, n_side):
-        peaks = PeakSet(tuple([None] * count), 0.3, 1.0)
+        peaks = PeakSet(tuple([None] * count))
         assert count_spots_per_side(peaks) == n_side
 
     @pytest.mark.parametrize("count", [0, 2, 4, 5, 7, 11])
     def test_non_triangular_rejected(self, count):
-        peaks = PeakSet(tuple([None] * count), 0.3, 1.0)
+        peaks = PeakSet(tuple([None] * count))
         with pytest.raises(ClassificationError) as err:
             count_spots_per_side(peaks)
         assert err.value.peak_count == count
+
+
+@pytest.mark.parametrize(
+    "charge,magnitude,sign,spots", [(-3, 3, "-", 4), (0, 0, "undefined", 1), (2, 2, "+", 3)]
+)
+def test_readout_result_derives_from_the_charge(charge, magnitude, sign, spots):
+    result = ReadoutResult(charge, 0.5)
+    assert [f.name for f in fields(ReadoutResult)] == ["topological_charge", "orientation_score"]
+    assert (result.magnitude, result.sign, result.spots_per_side) == (magnitude, sign, spots)
 
 
 class TestClassify:
