@@ -35,7 +35,7 @@ from .hybrid import (
     project_polarization,
 )
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, compose_mzi
-from .readout import DEFAULT_THRESHOLD_FRAC, ReadoutResult, read_image, render_image
+from .readout import DEFAULT_THRESHOLD_FRAC, ReadoutError, ReadoutResult, read_image, render_image
 from .wavefield import (
     ApertureSpec,
     Grid,
@@ -416,13 +416,14 @@ def run_logical(circuit: Circuit) -> LogicalRun:
 
 @dataclass(frozen=True)
 class WaveOutcome:
-    """One polarization outcome rendered through the wave pipeline;
-    ``readout`` is None unless the circuit has TRIAPERTURE and DETECT."""
+    """One polarization outcome rendered through the wave pipeline.
+    ``readout`` is None unless the circuit has TRIAPERTURE and DETECT, and
+    the ReadoutError of an OAM superposition the classifier cannot read."""
 
     axis: PolarizationAxis
     probability: float
     intensity_map: np.ndarray
-    readout: ReadoutResult | None
+    readout: ReadoutResult | ReadoutError | None
 
 
 @dataclass(frozen=True)
@@ -507,6 +508,7 @@ def run_wave(
 ) -> WaveRun:
     """Render each polarization outcome through the aperture (if any) and
     the lens, and read it out when the circuit has TRIAPERTURE and DETECT.
+    A ReadoutError is raised only for an outcome with an expected charge.
     The mask is built with the first outcome, so a blocked beam builds none."""
     aperture_stmt = circuit.first_of(TriangleAperture)
     aperture = None if aperture_stmt is None else aperture_stmt.spec
@@ -520,8 +522,14 @@ def run_wave(
         img, far_grid = render_image(
             synthesize_field(logical, axis, grid, params), mask, params.focal_length
         )
-        readout = (
-            read_image(img, far_grid, aperture, params, threshold_frac) if reads_out else None
-        )
+        readout = None
+        if reads_out:
+            try:
+                readout = read_image(img, far_grid, aperture, params, threshold_frac)
+            except ReadoutError as exc:
+                if expected_charge(logical, axis) is not None:
+                    raise
+                # the traceback would keep the classifier's arrays alive
+                readout = exc.with_traceback(None)
         outcomes.append(WaveOutcome(axis, probability, img, readout))
     return WaveRun(logical, tuple(outcomes))

@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,35 @@ class RunConfig:
             beam_waist=self.waist_mm * 1e-3,
         )
 
-    def echo_lines(self) -> list[str]:
-        return [f"{f.name}={_echo_value(getattr(self, f.name))}" for f in fields(self)]
+
+#: add_argument keywords of each RunConfig field's flag, in field order.
+_FLAGS = {
+    "grid_n": dict(type=int, help="grid samples per side"),
+    "window_mm": dict(type=float, help="grid window (mm)"),
+    "waist_mm": dict(type=float, help="beam waist (mm)"),
+    "lambda_nm": dict(type=float, help="wavelength (nm)"),
+    "focal_cm": dict(type=float, help="focal length (cm)"),
+    "side_mm": dict(type=float, help="triangle side (mm)"),
+    "threshold": dict(type=float, help="peak threshold as a fraction of the image maximum"),
+    "mode": dict(choices=MODE_LABELS, help="interferometer reflection-parity convention"),
+    "out": dict(help="directory for images and reports"),
+    "raw_float": dict(action="store_true", help="also dump raw float64 .npy images"),
+}
+
+#: The RunConfig fields each command reads: its only flags, and the only
+#: settings its report echoes.  simulate's circuit file sets side and mode.
+COMMAND_FIELDS = {
+    "truth-table": tuple(_FLAGS),
+    "bell": ("out",),
+    "simulate": tuple(n for n in _FLAGS if n not in ("side_mm", "mode")),
+    "readout-sweep": tuple(n for n in _FLAGS if n not in ("mode", "raw_float")),
+}
+
+
+def _header(command: str, config: RunConfig, *lines: str) -> list[str]:
+    """A report's first lines: the command, ``lines``, then the settings it reads."""
+    echo = (f"{n}={_echo_value(getattr(config, n))}" for n in COMMAND_FIELDS[command])
+    return [f"command={command}", *lines, *echo]
 
 
 def _echo_value(value) -> str:
@@ -151,7 +178,7 @@ def _row_circuit(pol: str, ell: int, config: RunConfig) -> dsl.Circuit:
 
 def cmd_truth_table(config: RunConfig, stream) -> int:
     _ensure_out(config)
-    lines = ["command=truth-table", *config.echo_lines()]
+    lines = _header("truth-table", config)
     lines.append(
         "expectation="
         + ("relabeled (non-paper mode)" if config.mode == STRICT_PARITY else "standard")
@@ -197,7 +224,7 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
 
 def cmd_bell(config: RunConfig, stream) -> int:
     _ensure_out(config)
-    lines = ["command=bell", *config.echo_lines()]
+    lines = _header("bell", config)
     lines.append("seed,amp_H+,amp_H-,amp_V+,amp_V-,concurrence")
     states = []
     for pol in (0, 1):
@@ -247,9 +274,8 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
         return EXIT_PARSE
 
     _ensure_out(config)
-    lines = ["command=simulate", f"circuit_file={circuit_path}", *config.echo_lines()]
-    for stmt_line in dsl.format_circuit(circ).rstrip("\n").split("\n"):
-        lines.append(f"stmt={stmt_line}")
+    lines = _header("simulate", config, f"circuit_file={circuit_path}")
+    lines += (f"stmt={stmt_line}" for stmt_line in dsl.format_circuit(circ).splitlines())
 
     try:
         wave = dsl.run_wave(
@@ -283,7 +309,10 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
         lines.append(f"outcome_axis={outcome.axis.value}")
         lines.append(f"outcome_probability={outcome.probability!r}")
         result = outcome.readout
-        if result is not None:
+        if isinstance(result, ReadoutError):
+            lines.append(f"outcome_readout_error={result}")
+            lines.append("outcome_agreement=n/a")
+        elif result is not None:
             expected = dsl.expected_charge(logical, outcome.axis)
             got = result.topological_charge
             agreement = "n/a" if expected is None else ("yes" if got == expected else "no")
@@ -304,9 +333,7 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
 
 def cmd_readout_sweep(ell_min: int, ell_max: int, config: RunConfig, stream) -> int:
     _ensure_out(config)
-    lines = ["command=readout-sweep", *config.echo_lines()]
-    lines.append(f"ell_min={ell_min}")
-    lines.append(f"ell_max={ell_max}")
+    lines = [*_header("readout-sweep", config), f"ell_min={ell_min}", f"ell_max={ell_max}"]
     csv = ["ell,spots_per_side,sign,magnitude,orientation_score,correct,note"]
     all_correct = True
     for ell in range(ell_min, ell_max + 1):
@@ -347,43 +374,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = RunConfig()
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid-n", type=int, default=defaults.grid_n,
-                       help="grid samples per side")
-        p.add_argument("--window-mm", type=float, default=defaults.window_mm,
-                       help="grid window (mm)")
-        p.add_argument("--waist-mm", type=float, default=defaults.waist_mm,
-                       help="beam waist (mm)")
-        p.add_argument("--lambda-nm", type=float, default=defaults.lambda_nm,
-                       help="wavelength (nm)")
-        p.add_argument("--focal-cm", type=float, default=defaults.focal_cm,
-                       help="focal length (cm)")
-        p.add_argument("--side-mm", type=float, default=defaults.side_mm,
-                       help="triangle side (mm)")
-        p.add_argument("--threshold", type=float, default=defaults.threshold,
-                       help="peak threshold as a fraction of the image maximum")
-        p.add_argument("--mode", choices=list(MODE_LABELS), default=defaults.mode,
-                       help="interferometer reflection-parity convention")
-        p.add_argument("--out", default=None, help="directory for images and reports")
-        p.add_argument("--raw-float", action="store_true",
-                       help="also dump raw float64 .npy images")
-
-    add_common(sub.add_parser("truth-table", help="reproduce the four-row truth table"))
-    add_common(sub.add_parser("bell", help="emit the entangled-state family"))
+    sub.add_parser("truth-table", help="reproduce the four-row truth table")
+    sub.add_parser("bell", help="emit the entangled-state family")
     p_sim = sub.add_parser("simulate", help="run a circuit file through both layers")
     p_sim.add_argument("circuit_file")
-    add_common(p_sim)
     p_sweep = sub.add_parser("readout-sweep", help="classify a range of charges")
     p_sweep.add_argument("--ell-min", type=int, required=True)
     p_sweep.add_argument("--ell-max", type=int, required=True)
-    add_common(p_sweep)
+    for command, names in COMMAND_FIELDS.items():
+        for name in names:
+            sub.choices[command].add_argument(
+                "--" + name.replace("_", "-"), default=argparse.SUPPRESS, **_FLAGS[name]
+            )
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def main(argv: list[str] | None = None, stream=None) -> int:
@@ -396,7 +399,7 @@ def main(argv: list[str] | None = None, stream=None) -> int:
                 f"need -{MAX_CHARGE} <= ell-min <= ell-max <= {MAX_CHARGE}"
             )
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**{n: v for n, v in vars(args).items() if n in _FLAGS})
     except ValueError as exc:
         stream.write(f"config error: {exc}\n")
         return EXIT_PARSE

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,24 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "line 2, column 16: byte 0xe9 is not UTF-8" in report
 
+    def test_unreadable_superposition_is_reported_without_an_agreement(self, tmp_path):
+        # H after the Hadamard holds both OAM signs equally: two spots, no lattice
+        circ = tmp_path / "sup.circ"
+        circ.write_text(
+            "SOURCE pol=D oam=1\nMZI_CNOT\nHWP angle=22.5\nPOLARIZER H\n"
+            "TRIAPERTURE side=2\nDETECT\n"
+        )
+        code, report = run_cli(["simulate", str(circ), *FAST])
+        assert code == EXIT_OK
+        assert report_values(report, "wave_error") == []
+        assert report_values(report, "outcome_axis") == ["H"]
+        assert report_values(report, "outcome_probability") == ["0.4999999999999999"]
+        (error,) = report_values(report, "outcome_readout_error")
+        assert error.startswith("peak count 2 is not triangular")
+        assert report_values(report, "outcome_agreement") == ["n/a"]
+        assert report_values(report, "outcome_sign") == []
+        assert report.endswith("status=ok\n")
+
     def test_missing_file(self, tmp_path):
         code, report = run_cli(["simulate", str(tmp_path / "nope.circ"), *FAST])
         assert code == EXIT_IO
@@ -334,6 +353,73 @@ class TestExitCodes:
         )
         assert code == EXIT_IO
         assert "io error" in report
+
+
+FIELDS = [f.name for f in fields(RunConfig)]
+
+
+class TestFlags:
+    #: a value for each field's flag, none of them the default, each echoed as given
+    SETTINGS = {
+        "grid_n": "256",
+        "window_mm": "7",
+        "waist_mm": "0.45",
+        "lambda_nm": "633",
+        "focal_cm": "25",
+        "side_mm": "1.9",
+        "threshold": "0.25",
+        "mode": "strict-parity",
+    }
+
+    @pytest.mark.parametrize(
+        "argv, reads",
+        [
+            (["truth-table"], FIELDS),
+            (["bell"], ["out"]),
+            (["simulate", "CIRC"], [n for n in FIELDS if n not in ("side_mm", "mode")]),
+            (
+                ["readout-sweep", "--ell-min", "1", "--ell-max", "1"],
+                [n for n in FIELDS if n not in ("mode", "raw_float")],
+            ),
+        ],
+        ids=["truth-table", "bell", "simulate", "readout-sweep"],
+    )
+    def test_report_echoes_each_flag_the_command_reads(self, tmp_path, argv, reads):
+        circ = tmp_path / "ref.circ"
+        circ.write_text(REFERENCE_TEXT)
+        settings = {**self.SETTINGS, "out": str(tmp_path / "out"), "raw_float": "true"}
+        argv = [str(circ) if a == "CIRC" else a for a in argv]
+        for name in reads:
+            argv.append("--" + name.replace("_", "-"))
+            if name != "raw_float":
+                argv.append(settings[name])
+        _, report = run_cli(argv)
+        lines = report.splitlines()
+        start = 2 if argv[0] == "simulate" else 1
+        assert lines[start : start + len(reads)] == [f"{n}={settings[n]}" for n in reads]
+        assert lines[start + len(reads)].split("=", 1)[0] not in FIELDS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "c.circ", "--side-mm", "3"],
+            ["simulate", "c.circ", "--mode", "strict-parity"],
+            ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--mode", "strict-parity"],
+            ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--raw-float"],
+            ["bell", "--grid-n", "256"],
+        ],
+        ids=[
+            "simulate/--side-mm",
+            "simulate/--mode",
+            "readout-sweep/--mode",
+            "readout-sweep/--raw-float",
+            "bell/--grid-n",
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv, io.StringIO())
+        assert err.value.code == EXIT_PARSE
 
 
 class TestDeterminism:
