@@ -37,11 +37,14 @@ from .hybrid import (
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, compose_mzi
 from .readout import DEFAULT_THRESHOLD_FRAC, ReadoutError, ReadoutResult, read_image, render_image
 from .wavefield import (
+    FULL,
     ApertureSpec,
+    Box,
     Grid,
     OpticalParams,
     ScalarField,
     TRIANGLE,
+    aperture_box,
     aperture_mask,
     lg_mode,
 )
@@ -417,8 +420,11 @@ def run_logical(circuit: Circuit) -> LogicalRun:
 @dataclass(frozen=True)
 class WaveOutcome:
     """One polarization outcome rendered through the wave pipeline.
-    ``readout`` is None unless the circuit has TRIAPERTURE and DETECT, and
-    the ReadoutError of an OAM superposition the classifier cannot read."""
+    ``intensity_map`` is the full camera frame, or the centred window of it
+    that a windowed run renders (its shape tells which; the pitch is the
+    same).  ``readout`` is None unless the circuit has TRIAPERTURE and
+    DETECT, and the ReadoutError of an OAM superposition the classifier
+    cannot read."""
 
     axis: PolarizationAxis
     probability: float
@@ -478,25 +484,29 @@ def outcome_axes(run: LogicalRun) -> list[tuple[PolarizationAxis, float]]:
 
 
 def synthesize_field(
-    run: LogicalRun, axis: PolarizationAxis, grid: Grid, params: OpticalParams
+    run: LogicalRun,
+    axis: PolarizationAxis,
+    grid: Grid,
+    params: OpticalParams,
+    box: Box = FULL,
 ) -> ScalarField:
-    """Transverse field of the OAM component carried by a polarization
-    outcome: a superposition of the +|ell| and -|ell| vortex modes.  A mode
-    whose weight is exactly zero is not built."""
+    """Transverse field on ``box`` of the OAM component carried by a
+    polarization outcome: a superposition of the +|ell| and -|ell| vortex
+    modes.  A mode whose weight is exactly zero is not built."""
     if run.oam_is_zero:
-        return lg_mode(grid, 0, params.beam_waist, params.wavelength)
+        return lg_mode(grid, 0, params.beam_waist, params.wavelength, box)
     state = run.final_state
     assert state is not None
     m = state.oam_magnitude
     terms = (
-        weight * lg_mode(grid, sign * m, params.beam_waist, params.wavelength).samples
+        weight * lg_mode(grid, sign * m, params.beam_waist, params.wavelength, box).samples
         for sign, weight in zip((+1, -1), _oam_components(state, axis))
         if weight != 0
     )
     samples = next(terms)
     for term in terms:
         samples += term
-    return ScalarField(samples, grid, params.wavelength)
+    return ScalarField(samples, grid, params.wavelength, box)
 
 
 def run_wave(
@@ -505,22 +515,34 @@ def run_wave(
     params: OpticalParams,
     *,
     threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
+    full_frame: bool = False,
 ) -> WaveRun:
     """Render each polarization outcome through the aperture (if any) and
     the lens, and read it out when the circuit has TRIAPERTURE and DETECT.
     A ReadoutError is raised only for an outcome with an expected charge.
-    The mask is built with the first outcome, so a blocked beam builds none."""
+    The mask is built with the first outcome, so a blocked beam builds none.
+
+    Behind an aperture, only the aperture's box is synthesized and only the
+    camera window that ``render_image`` proves holds every spot is
+    rendered, unless ``full_frame`` asks for the whole image (to write it).
+    Without an aperture the full frame is rendered."""
     aperture_stmt = circuit.first_of(TriangleAperture)
     aperture = None if aperture_stmt is None else aperture_stmt.spec
     reads_out = aperture is not None and circuit.first_of(Detect) is not None
+    windowed = aperture is not None and not full_frame
     logical = run_logical(circuit)
-    mask = None
+    box, mask = FULL, None
     outcomes = []
     for axis, probability in outcome_axes(logical):
         if aperture is not None and mask is None:
-            mask = aperture_mask(grid, aperture)
+            if windowed:
+                box = aperture_box(grid, aperture)
+            mask = aperture_mask(grid, aperture, box)
         img, far_grid = render_image(
-            synthesize_field(logical, axis, grid, params), mask, params.focal_length
+            synthesize_field(logical, axis, grid, params, box),
+            mask,
+            params.focal_length,
+            threshold_frac if windowed else None,
         )
         readout = None
         if reads_out:

@@ -192,7 +192,7 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
         try:
             wave = dsl.run_wave(
                 _row_circuit(pol, ell, config), config.grid, config.optical_params,
-                threshold_frac=config.threshold,
+                threshold_frac=config.threshold, full_frame=config.out is not None,
             )
             (outcome,) = wave.outcomes
             exp_amps = basis_state(
@@ -279,7 +279,8 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
 
     try:
         wave = dsl.run_wave(
-            circ, config.grid, config.optical_params, threshold_frac=config.threshold
+            circ, config.grid, config.optical_params, threshold_frac=config.threshold,
+            full_frame=config.out is not None,
         )
         logical, outcomes, wave_error = wave.logical, wave.outcomes, None
     except (ReadoutError, ValueError) as exc:
@@ -367,18 +368,24 @@ def cmd_readout_sweep(ell_min: int, ell_max: int, config: RunConfig, stream) -> 
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is spelled in full, so a prefix is a usage error
     parser = argparse.ArgumentParser(
         prog="oamcnot",
         description="Simulate the polarization/OAM controlled-NOT optical circuit "
         "and its triangular-aperture readout.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("truth-table", help="reproduce the four-row truth table")
-    sub.add_parser("bell", help="emit the entangled-state family")
-    p_sim = sub.add_parser("simulate", help="run a circuit file through both layers")
+    sub.add_parser("truth-table", help="reproduce the four-row truth table", allow_abbrev=False)
+    sub.add_parser("bell", help="emit the entangled-state family", allow_abbrev=False)
+    p_sim = sub.add_parser(
+        "simulate", help="run a circuit file through both layers", allow_abbrev=False
+    )
     p_sim.add_argument("circuit_file")
-    p_sweep = sub.add_parser("readout-sweep", help="classify a range of charges")
+    p_sweep = sub.add_parser(
+        "readout-sweep", help="classify a range of charges", allow_abbrev=False
+    )
     p_sweep.add_argument("--ell-min", type=int, required=True)
     p_sweep.add_argument("--ell-max", type=int, required=True)
     for command, names in COMMAND_FIELDS.items():

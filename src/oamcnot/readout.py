@@ -3,6 +3,8 @@ far-field pattern behind a triangular aperture.
 
 The camera path is two steps that every caller shares: ``render_image``
 (mask, lens, intensity) and ``read_image`` (separation floor, classify).
+A readout renders only a centred camera window that provably holds every
+spot; the full frame is rendered when an image is to be written.
 
 The pattern is a finite triangular lattice of bright spots; counting N
 spots on a side gives the magnitude |ell| = N - 1, and the lattice's
@@ -25,11 +27,14 @@ from .wavefield import (
     Grid,
     OpticalParams,
     ScalarField,
+    aperture_box,
     aperture_mask,
     apply_mask,
     far_field,
     intensity,
     lg_mode,
+    window_far_field,
+    window_tail_bound,
 )
 
 SIGN_POSITIVE = "+"
@@ -43,6 +48,12 @@ SEPARATION_FRACTION = 0.3
 AMBIGUITY_MARGIN = 0.05
 #: Gaussian kernel width of the template match, in units of lattice spacing.
 MATCH_KERNEL = 0.5
+#: Image values closer than this fraction of the maximum are taken as
+#: equal.  Spots that a mirror symmetry makes equal come out of a transform
+#: with ~1e-15 of rounding noise, which must not pick the peak pixel.
+TIE_FRACTION = 1e-9
+#: Side of the first camera window tried, in pixels; each next is twice as wide.
+FIRST_WINDOW = 64
 
 # An ideal lattice for a positive charge points this far counterclockwise
 # from the aperture vertex direction (calibrated against the wave engine).
@@ -126,6 +137,9 @@ def find_peaks(
     descending value: a candidate closer than ``min_separation`` (meters)
     to an already accepted peak is dropped, which keeps one pixel of a
     tied top.  Ordering is deterministic: value descending, ties row-major.
+    Values within ``TIE_FRACTION`` of the maximum of each other are ties
+    here, so rounding noise neither makes nor breaks a local maximum or
+    reorders a tie; a run of values each that close to the next is one tie.
     """
     img = np.asarray(img, dtype=float)
     if img.shape != (grid.n, grid.n):
@@ -144,6 +158,7 @@ def find_peaks(
     if gmax <= 0.0:
         return PeakSet(())
 
+    tie = TIE_FRACTION * gmax
     padded = np.pad(img, 1, constant_values=-np.inf)
     is_max = np.ones_like(img, dtype=bool)
     n = grid.n
@@ -151,12 +166,14 @@ def find_peaks(
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            is_max &= img >= padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n]
+            is_max &= img >= padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n] - tie
     is_max &= img >= threshold_frac * gmax
 
-    rows, cols = np.nonzero(is_max)
+    rows, cols = np.nonzero(is_max)  # row-major
     values = img[rows, cols]
-    order = np.lexsort((cols, rows, -values))
+    ranked = np.argsort(-values, kind="stable")
+    level = np.cumsum(np.diff(values[ranked], prepend=values[ranked[0]]) < -tie)
+    order = ranked[np.lexsort((ranked, level))]
     rows, cols, values = rows[order], cols[order], values[order]
 
     coords = grid.coords()
@@ -270,14 +287,34 @@ def default_min_separation(
 
 
 def render_image(
-    field: ScalarField, mask: np.ndarray | None, focal_length: float
+    field: ScalarField,
+    mask: np.ndarray | None,
+    focal_length: float,
+    threshold_frac: float | None = None,
 ) -> tuple[np.ndarray, Grid]:
     """Camera image of a field: through the mask (if any) and the lens.
 
-    Returns the far-field intensity and the far-field grid it lives on.
+    Returns the far-field intensity and the far-field grid it lives on:
+    the full frame, or with ``threshold_frac`` the smallest centred window
+    (``FIRST_WINDOW`` pixels wide, doubling) whose tail bound puts every
+    pixel outside it below ``threshold_frac`` times the window's maximum,
+    and the full frame when no smaller window does.  The global maximum
+    and every peak candidate then lie inside, and a window edge pixel's
+    outside neighbors are below threshold, so ``find_peaks`` finds the
+    same peaks in the window as in the full frame.
     """
     if mask is not None:
         field = apply_mask(field, mask)
+    if threshold_frac is not None:
+        m = FIRST_WINDOW
+        while m < field.grid.n:
+            window = window_far_field(field, focal_length, m)
+            img = intensity(window)
+            # the margin covers the rounding of the bound and of the transforms
+            bound = window_tail_bound(field, focal_length, m)
+            if bound**2 * (1.0 + 1e-9) < threshold_frac * float(img.max()):
+                return img, window.grid
+            m *= 2
     far = far_field(field, focal_length)
     return intensity(far), far.grid
 
@@ -306,10 +343,13 @@ def readout_roundtrip(
     *,
     threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
 ) -> ReadoutResult:
-    """Full pipeline: synthesize the vortex, mask it, propagate, classify."""
+    """Full pipeline: synthesize the vortex on the aperture's box, mask it,
+    propagate onto a camera window, classify."""
+    box = aperture_box(grid, aperture)  # refuses a bad aperture first
     img, far_grid = render_image(
-        lg_mode(grid, ell, params.beam_waist, params.wavelength),
-        aperture_mask(grid, aperture),
+        lg_mode(grid, ell, params.beam_waist, params.wavelength, box),
+        aperture_mask(grid, aperture, box),
         params.focal_length,
+        threshold_frac,
     )
     return read_image(img, far_grid, aperture, params, threshold_frac)

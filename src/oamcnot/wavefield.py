@@ -4,10 +4,16 @@ masking, and single-lens far-field propagation.
 All lengths are SI meters.  Grid samples sit at (i - n/2) * pitch along
 each axis, so the optical axis is the (n/2, n/2) sample.  A field sample
 ``samples[i, j]`` lives at x = coords[j], y = coords[i].
+
+A field may hold samples on a box of the grid only (a row slice and a
+column slice, zero elsewhere): the aperture's box is all a camera sees
+through it, and ``window_far_field`` takes the lens from that box onto a
+centred camera window by matrix DFT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +23,11 @@ MAX_CHARGE = 10
 TRIANGLE = "equilateral-triangle"
 CIRCLE = "circle"
 APERTURE_SHAPES = (TRIANGLE, CIRCLE)
+
+#: A box of grid samples: (row slice, column slice), used as an index.
+Box = tuple[slice, slice]
+#: The whole grid as a box.
+FULL: Box = (slice(None), slice(None))
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,9 @@ class OpticalParams:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Complex field samples on a grid, with the wavelength they carry.
+    """Complex field samples on a box of a grid (the whole grid by
+    default), with the wavelength they carry; the field is zero outside
+    the box.
 
     A complex ndarray passed in is frozen in place (made read-only), not
     copied; any other input is converted to a new read-only complex array."""
@@ -87,12 +100,15 @@ class ScalarField:
     samples: np.ndarray
     grid: Grid
     wavelength: float
+    box: Box = FULL
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=complex)
-        if samples.shape != (self.grid.n, self.grid.n):
+        shape = tuple(len(range(self.grid.n)[s]) for s in self.box)
+        if samples.shape != shape:
             raise ValueError(
-                f"samples shape {samples.shape} does not match grid n = {self.grid.n}"
+                f"samples shape {samples.shape} does not match the {shape} box "
+                f"of grid n = {self.grid.n}"
             )
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
@@ -100,14 +116,20 @@ class ScalarField:
         object.__setattr__(self, "samples", samples)
 
 
-def lg_mode(grid: Grid, ell: int, waist: float, wavelength: float) -> ScalarField:
-    """Vortex mode of topological charge ``ell``, normalized to unit power.
+def lg_mode(
+    grid: Grid, ell: int, waist: float, wavelength: float, box: Box = FULL
+) -> ScalarField:
+    """Vortex mode of topological charge ``ell``, normalized to unit power
+    on the whole grid, sampled on ``box``.
 
     Amplitude (r sqrt2 / w0)^|ell| exp(-r^2/w0^2) with helical phase
     exp(i ell phi); ell = 0 degenerates to a plain Gaussian.  Built as
     ((x +- iy) sqrt2 / w0)^|ell| g(x) g(y), g(c) = exp(-c^2/w0^2), from the
     1-D coordinates, so ``lg_mode(-ell)`` is the exact conjugate of
-    ``lg_mode(ell)``.
+    ``lg_mode(ell)`` and a box's samples are those of the whole grid before
+    normalization.  On the whole grid the power is summed from the samples;
+    on a smaller box it comes from 1-D sums over the whole grid, since
+    |x + iy|^2L = sum_k C(L, k) x^2k y^2(L-k), and agrees up to rounding.
     """
     if abs(ell) > MAX_CHARGE:
         raise ValueError(f"|ell| = {abs(ell)} exceeds the supported range {MAX_CHARGE}")
@@ -118,51 +140,75 @@ def lg_mode(grid: Grid, ell: int, waist: float, wavelength: float) -> ScalarFiel
             f"({lo:g}, {hi:g}) m for this grid"
         )
     c = grid.coords()
+    x, y = c[box[1]], c[box[0]]
+    scaled = c * (np.sqrt(2.0) / waist)
     if ell == 0:
-        field = np.ones((grid.n, grid.n), dtype=complex)
+        field = np.ones((y.size, x.size), dtype=complex)
     else:
-        scaled = c * (np.sqrt(2.0) / waist)
-        base = np.empty((grid.n, grid.n), dtype=complex)
-        base.real = scaled[np.newaxis, :]
-        base.imag = (scaled if ell > 0 else -scaled)[:, np.newaxis]
+        sx, sy = scaled[box[1]], scaled[box[0]]
+        base = np.empty((y.size, x.size), dtype=complex)
+        base.real = sx[np.newaxis, :]
+        base.imag = (sy if ell > 0 else -sy)[:, np.newaxis]
         field = base.copy() if abs(ell) > 1 else base
         for _ in range(abs(ell) - 1):
             field *= base
-    g = np.exp(-((c / waist) ** 2))
-    field *= g[:, np.newaxis]
-    field *= g[np.newaxis, :]
-    field /= np.sqrt(np.sum(np.abs(field) ** 2) * grid.pitch**2)
-    return ScalarField(field, grid, wavelength)
+    field *= np.exp(-((y / waist) ** 2))[:, np.newaxis]
+    field *= np.exp(-((x / waist) ** 2))[np.newaxis, :]
+    if box == FULL:
+        total = np.sum(np.abs(field) ** 2)
+    else:
+        # moments[k] = sum over one axis of scaled^2k g^2
+        g_sq = np.exp(-((c / waist) ** 2)) ** 2
+        moments = [float(np.sum(scaled ** (2 * k) * g_sq)) for k in range(abs(ell) + 1)]
+        total = sum(math.comb(abs(ell), k) * a * moments[-1 - k] for k, a in enumerate(moments))
+    field /= np.sqrt(total * grid.pitch**2)
+    return ScalarField(field, grid, wavelength, box)
 
 
-def aperture_mask(grid: Grid, aperture: ApertureSpec) -> np.ndarray:
-    """Binary transmission mask, centroid on the optical axis.
+def _rim(grid: Grid, aperture: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the aperture's triangle vertices, or the x and y
+    extremes of its circle; refused if the shape does not fit the window."""
+    if aperture.shape == CIRCLE:
+        radius, name = aperture.size / 2.0, "circle diameter"
+    else:
+        radius, name = aperture.size / np.sqrt(3.0), "triangle side"
+    if radius >= grid.window / 2.0:
+        raise ValueError(
+            f"{name} {aperture.size:g} m does not fit in the {grid.window:g} m window"
+        )
+    if aperture.shape == CIRCLE:
+        return np.array([-radius, radius]), np.array([-radius, radius])
+    angles = aperture.orientation + np.pi / 2.0 + 2.0 * np.pi * np.arange(3) / 3.0
+    return radius * np.cos(angles), radius * np.sin(angles)
+
+
+def aperture_box(grid: Grid, aperture: ApertureSpec) -> Box:
+    """The smallest box of grid samples that holds the aperture's extent;
+    ``aperture_mask`` is zero outside it.  A pixel left out lies a whole
+    pitch or more outside the extent, so rounding cannot let it in."""
+    vx, vy = _rim(grid, aperture)
+
+    def span(v: np.ndarray) -> slice:
+        first = math.floor(v.min() / grid.pitch) + grid.n // 2
+        last = math.ceil(v.max() / grid.pitch) + grid.n // 2
+        return slice(first, min(last, grid.n - 1) + 1)
+
+    return span(vy), span(vx)
+
+
+def aperture_mask(grid: Grid, aperture: ApertureSpec, box: Box = FULL) -> np.ndarray:
+    """Binary transmission mask on ``box``, centroid on the optical axis.
 
     A pixel transmits when its center falls inside the shape.  The
     inequalities are evaluated on a row of x and a column of y, which
-    broadcast to the full grid.
+    broadcast to the box.
     """
+    vx, vy = _rim(grid, aperture)
     c = grid.coords()
-    x, y = c[np.newaxis, :], c[:, np.newaxis]
+    x, y = c[box[1]][np.newaxis, :], c[box[0]][:, np.newaxis]
     if aperture.shape == CIRCLE:
-        radius = aperture.size / 2.0
-        if radius >= grid.window / 2.0:
-            raise ValueError(
-                f"circle diameter {aperture.size:g} m does not fit in the "
-                f"{grid.window:g} m window"
-            )
-        return (x**2 + y**2 <= radius**2).astype(float)
-
-    circumradius = aperture.size / np.sqrt(3.0)
-    if circumradius >= grid.window / 2.0:
-        raise ValueError(
-            f"triangle side {aperture.size:g} m does not fit in the "
-            f"{grid.window:g} m window"
-        )
-    angles = aperture.orientation + np.pi / 2.0 + 2.0 * np.pi * np.arange(3) / 3.0
-    vx = circumradius * np.cos(angles)
-    vy = circumradius * np.sin(angles)
-    inside = np.ones((grid.n, grid.n), dtype=bool)
+        return (x**2 + y**2 <= (aperture.size / 2.0) ** 2).astype(float)
+    inside = np.ones((y.size, x.size), dtype=bool)
     for k in range(3):
         x1, y1 = vx[k], vy[k]
         x2, y2 = vx[(k + 1) % 3], vy[(k + 1) % 3]
@@ -179,7 +225,16 @@ def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
         raise ValueError(
             f"mask shape {mask.shape} does not match field shape {field.samples.shape}"
         )
-    return ScalarField(field.samples * mask, field.grid, field.wavelength)
+    return ScalarField(field.samples * mask, field.grid, field.wavelength, field.box)
+
+
+def _lens(field: ScalarField, focal_length: float) -> tuple[float, Grid]:
+    """Amplitude scale of the lens transform and its full far-field grid."""
+    if not focal_length > 0:
+        raise ValueError(f"focal length must be positive, got {focal_length}")
+    lam_f = field.wavelength * focal_length
+    n = field.grid.n
+    return field.grid.pitch**2 / lam_f, Grid(n, n * lam_f / field.grid.window)
 
 
 def far_field(field: ScalarField, focal_length: float) -> ScalarField:
@@ -187,15 +242,62 @@ def far_field(field: ScalarField, focal_length: float) -> ScalarField:
 
     A centered discrete Fourier transform with output coordinates
     x' = wavelength * focal_length * spatial frequency; the amplitude
-    scale is chosen so total power is conserved exactly.
+    scale is chosen so total power is conserved exactly.  A field on a box
+    is zero-padded to the whole grid first.
     """
-    if not focal_length > 0:
-        raise ValueError(f"focal length must be positive, got {focal_length}")
-    lam_f = field.wavelength * focal_length
-    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(field.samples)))
-    spectrum *= field.grid.pitch**2 / lam_f
-    out_grid = Grid(field.grid.n, field.grid.n * lam_f / field.grid.window)
+    scale, out_grid = _lens(field, focal_length)
+    samples = field.samples
+    if field.box != FULL:
+        samples = np.zeros((field.grid.n, field.grid.n), dtype=complex)
+        samples[field.box] = field.samples
+    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(samples)))
+    spectrum *= scale
     return ScalarField(spectrum, out_grid, field.wavelength)
+
+
+def window_far_field(field: ScalarField, focal_length: float, m: int) -> ScalarField:
+    """The centred m x m window of ``far_field(field)``, computed from the
+    field's box alone as the matrix DFT W_rows . samples . W_cols^T
+    (Soummer et al., Opt. Express 15, 15935 (2007)).
+
+    W[u, p] = exp(-2 pi i ((u p) mod n) / n) for window frequency u in
+    [-m/2, m/2) and box index p, both centred; reducing the integer
+    product mod n keeps the phase exact.  The window's grid has the full
+    frame's pitch, so its coordinates are the full frame's slice.
+    """
+    scale, out_grid = _lens(field, focal_length)
+    n = field.grid.n
+    if m > n:
+        raise ValueError(f"window of {m} pixels exceeds the {n}-pixel grid")
+    phase = np.exp(-2j * np.pi * np.arange(n) / n)
+    u = np.arange(m) - m // 2
+
+    def dft(axis: slice) -> np.ndarray:
+        return phase[np.outer(u, np.arange(n)[axis] - n // 2) % n]
+
+    spectrum = dft(field.box[0]) @ field.samples @ dft(field.box[1]).T
+    spectrum *= scale
+    return ScalarField(spectrum, Grid(m, m * out_grid.pitch), field.wavelength)
+
+
+def window_tail_bound(field: ScalarField, focal_length: float, m: int) -> float:
+    """Upper bound on |far_field(field)| at every pixel outside its
+    centred m x m window.
+
+    F(k) (1 - exp(-2 pi i k_x / n)) is the DFT of the field's difference
+    along x, whose magnitude is at most its total variation TV_x (the sum
+    of |f[i, j] - f[i, j-1]| over the zero-padded box).  A pixel outside
+    the window has |k_x| >= m/2 or |k_y| >= m/2, so
+    |F| <= scale max(TV_x, TV_y) / (2 sin(pi m / 2n)).
+    """
+    scale, _ = _lens(field, focal_length)
+    f = field.samples
+    # the zero padding adds the first and last samples along the axis
+    variation = max(
+        float(np.abs(np.diff(f, axis=axis)).sum() + np.abs(f.take([0, -1], axis=axis)).sum())
+        for axis in (0, 1)
+    )
+    return scale * variation / (2.0 * math.sin(math.pi * m / (2 * field.grid.n)))
 
 
 def intensity(field: ScalarField) -> np.ndarray:
@@ -204,7 +306,8 @@ def intensity(field: ScalarField) -> np.ndarray:
 
 
 def power(field: ScalarField) -> float:
-    """Total power: sum of |sample|^2 times the pixel area."""
+    """Total power: sum of |sample|^2 times the pixel area (zero outside
+    the field's box)."""
     return float(np.sum(np.abs(field.samples) ** 2) * field.grid.pitch**2)
 
 

@@ -327,7 +327,7 @@ class TestRunWave:
             ("SOURCE pol=D oam=1\nDETECT", None),
             ("SOURCE pol=D oam=1\nTRIAPERTURE side=2", mask),
         ):
-            wave = run_wave(parse(text), fast_grid, params)
+            wave = run_wave(parse(text), fast_grid, params, full_frame=True)
             assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
             for outcome in wave.outcomes:
                 assert outcome.readout is None

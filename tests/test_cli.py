@@ -421,6 +421,21 @@ class TestFlags:
             main(argv, io.StringIO())
         assert err.value.code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bell", "--o", "DIR"],
+            ["readout-sweep", "--ell-mi", "1", "--ell-ma", "1", "--grid", "256"],
+        ],
+        ids=["bell/--o", "readout-sweep/--ell-mi"],
+    )
+    def test_a_prefix_of_a_flag_is_a_usage_error(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv, io.StringIO())
+        assert err.value.code == EXIT_PARSE
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     def test_reports_and_images_are_byte_identical(self, tmp_path):

@@ -12,10 +12,14 @@ fidelity) is unverified.
 
 The commands run without ``--out`` so that no output path enters a
 report, and circuit files are named relative to the working directory.
+``truth_table_images.sha256`` holds the SHA-256 of the eight PGM images
+that ``truth-table --grid-n 256 --out DIR --raw-float`` writes in the two
+modes, so the full-frame render that writes images is pinned as well.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 from pathlib import Path
 
@@ -83,3 +87,15 @@ def test_report_is_byte_identical_to_golden(name, tmp_path, monkeypatch):
     code = main(argv, stream)
     assert stream.getvalue().encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
     assert code == expected_code
+
+
+def test_truth_table_images_are_byte_identical_to_golden(tmp_path):
+    for mode in ("paper-default", "strict-parity"):
+        argv = ["truth-table", *FAST, "--mode", mode, "--out", str(tmp_path / mode), "--raw-float"]
+        assert main(argv, io.StringIO()) == EXIT_OK
+    digests = {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*/*.pgm")
+    }
+    golden = (GOLDEN / "truth_table_images.sha256").read_text().splitlines()
+    assert digests == {name: digest for digest, name in (line.split() for line in golden)}
