@@ -46,6 +46,7 @@ from .wavefield import (
     TRIANGLE,
     aperture_box,
     aperture_mask,
+    check_mode,
     lg_mode,
 )
 
@@ -419,16 +420,16 @@ def run_logical(circuit: Circuit) -> LogicalRun:
 
 @dataclass(frozen=True)
 class WaveOutcome:
-    """One polarization outcome rendered through the wave pipeline.
-    ``intensity_map`` is the full camera frame, or the centred window of it
-    that a windowed run renders (its shape tells which; the pitch is the
-    same).  ``readout`` is None unless the circuit has TRIAPERTURE and
-    DETECT, and the ReadoutError of an OAM superposition the classifier
-    cannot read."""
+    """One polarization outcome at the camera.  ``intensity_map`` is None
+    unless the outcome is read out or written: then it is the whole camera
+    frame, or the centred window of it that a readout renders (its shape
+    tells which; the pitch is the same).  ``readout`` is None unless the
+    circuit has TRIAPERTURE and DETECT, and the ReadoutError of an OAM
+    superposition the classifier cannot read."""
 
     axis: PolarizationAxis
     probability: float
-    intensity_map: np.ndarray
+    intensity_map: np.ndarray | None
     readout: ReadoutResult | ReadoutError | None
 
 
@@ -517,32 +518,36 @@ def run_wave(
     threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
     full_frame: bool = False,
 ) -> WaveRun:
-    """Render each polarization outcome through the aperture (if any) and
-    the lens, and read it out when the circuit has TRIAPERTURE and DETECT.
-    A ReadoutError is raised only for an outcome with an expected charge.
-    The mask is built with the first outcome, so a blocked beam builds none.
-
-    Behind an aperture, only the aperture's box is synthesized and only the
-    camera window that ``render_image`` proves holds every spot is
-    rendered, unless ``full_frame`` asks for the whole image (to write it).
-    Without an aperture the full frame is rendered."""
+    """Each polarization outcome at the camera, rendered only when it is
+    read out (the circuit has TRIAPERTURE and DETECT) or written
+    (``full_frame``): onto the whole frame to be written, else onto the
+    camera window that ``render_image`` proves holds every spot.  Behind an
+    aperture only its box is synthesized.  An outcome left unrendered is
+    refused as a rendered one would be: the aperture must fit, then
+    ``check_mode`` judges the source's charge and the waist.  The box and
+    mask come with the first outcome, so a blocked beam builds neither.
+    A ReadoutError is raised only for an outcome with an expected charge."""
     aperture_stmt = circuit.first_of(TriangleAperture)
     aperture = None if aperture_stmt is None else aperture_stmt.spec
     reads_out = aperture is not None and circuit.first_of(Detect) is not None
-    windowed = aperture is not None and not full_frame
     logical = run_logical(circuit)
-    box, mask = FULL, None
+    box = FULL if aperture is None else None
+    mask = None
     outcomes = []
     for axis, probability in outcome_axes(logical):
+        if box is None:
+            box = aperture_box(grid, aperture)  # refuses an aperture that does not fit
+        if not (reads_out or full_frame):
+            check_mode(grid, circuit.statements[0].oam, params.beam_waist)
+            outcomes.append(WaveOutcome(axis, probability, None, None))
+            continue
         if aperture is not None and mask is None:
-            if windowed:
-                box = aperture_box(grid, aperture)
             mask = aperture_mask(grid, aperture, box)
         img, far_grid = render_image(
             synthesize_field(logical, axis, grid, params, box),
             mask,
             params.focal_length,
-            threshold_frac if windowed else None,
+            None if full_frame else threshold_frac,
         )
         readout = None
         if reads_out:

@@ -4,7 +4,8 @@ far-field pattern behind a triangular aperture.
 The camera path is two steps that every caller shares: ``render_image``
 (mask, lens, intensity) and ``read_image`` (separation floor, classify).
 A readout renders only a centred camera window that provably holds every
-spot; the full frame is rendered when an image is to be written.
+spot; the whole frame, the widest window, is rendered when an image is to
+be written.
 
 The pattern is a finite triangular lattice of bright spots; counting N
 spots on a side gives the magnitude |ell| = N - 1, and the lattice's
@@ -33,7 +34,6 @@ from .wavefield import (
     far_field,
     intensity,
     lg_mode,
-    window_far_field,
     window_tail_bound,
 )
 
@@ -295,28 +295,26 @@ def render_image(
     """Camera image of a field: through the mask (if any) and the lens.
 
     Returns the far-field intensity and the far-field grid it lives on:
-    the full frame, or with ``threshold_frac`` the smallest centred window
-    (``FIRST_WINDOW`` pixels wide, doubling) whose tail bound puts every
-    pixel outside it below ``threshold_frac`` times the window's maximum,
-    and the full frame when no smaller window does.  The global maximum
-    and every peak candidate then lie inside, and a window edge pixel's
-    outside neighbors are below threshold, so ``find_peaks`` finds the
-    same peaks in the window as in the full frame.
+    the whole frame, or with ``threshold_frac`` the smallest centred window
+    (``FIRST_WINDOW`` pixels wide, doubling up to the whole frame) whose
+    tail bound puts every pixel outside it below ``threshold_frac`` times
+    the window's maximum.  The global maximum and every peak candidate
+    then lie inside, and a window edge pixel's outside neighbors are below
+    threshold, so ``find_peaks`` finds the same peaks in the window as in
+    the whole frame.
     """
     if mask is not None:
         field = apply_mask(field, mask)
-    if threshold_frac is not None:
-        m = FIRST_WINDOW
-        while m < field.grid.n:
-            window = window_far_field(field, focal_length, m)
-            img = intensity(window)
-            # the margin covers the rounding of the bound and of the transforms
-            bound = window_tail_bound(field, focal_length, m)
-            if bound**2 * (1.0 + 1e-9) < threshold_frac * float(img.max()):
-                return img, window.grid
-            m *= 2
-    far = far_field(field, focal_length)
-    return intensity(far), far.grid
+    n = field.grid.n
+    m = n if threshold_frac is None else FIRST_WINDOW
+    bound = None if threshold_frac is None else window_tail_bound(field, focal_length)
+    while True:
+        far = far_field(field, focal_length, m)
+        img = intensity(far)
+        # the margin covers the rounding of the bound and of the transform
+        if m == n or bound(m) ** 2 * (1.0 + 1e-9) < threshold_frac * float(img.max()):
+            return img, far.grid
+        m *= 2
 
 
 def read_image(

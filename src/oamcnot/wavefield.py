@@ -7,13 +7,14 @@ each axis, so the optical axis is the (n/2, n/2) sample.  A field sample
 
 A field may hold samples on a box of the grid only (a row slice and a
 column slice, zero elsewhere): the aperture's box is all a camera sees
-through it, and ``window_far_field`` takes the lens from that box onto a
-centred camera window by matrix DFT.
+through it.  ``far_field`` is the one lens: a matrix DFT from the field's
+box onto a centred camera window, the whole frame being the widest one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,21 +117,9 @@ class ScalarField:
         object.__setattr__(self, "samples", samples)
 
 
-def lg_mode(
-    grid: Grid, ell: int, waist: float, wavelength: float, box: Box = FULL
-) -> ScalarField:
-    """Vortex mode of topological charge ``ell``, normalized to unit power
-    on the whole grid, sampled on ``box``.
-
-    Amplitude (r sqrt2 / w0)^|ell| exp(-r^2/w0^2) with helical phase
-    exp(i ell phi); ell = 0 degenerates to a plain Gaussian.  Built as
-    ((x +- iy) sqrt2 / w0)^|ell| g(x) g(y), g(c) = exp(-c^2/w0^2), from the
-    1-D coordinates, so ``lg_mode(-ell)`` is the exact conjugate of
-    ``lg_mode(ell)`` and a box's samples are those of the whole grid before
-    normalization.  On the whole grid the power is summed from the samples;
-    on a smaller box it comes from 1-D sums over the whole grid, since
-    |x + iy|^2L = sum_k C(L, k) x^2k y^2(L-k), and agrees up to rounding.
-    """
+def check_mode(grid: Grid, ell: int, waist: float) -> None:
+    """Refuse a vortex mode the grid cannot hold: |ell| above MAX_CHARGE,
+    or a waist outside (4 pitches, a quarter of the window)."""
     if abs(ell) > MAX_CHARGE:
         raise ValueError(f"|ell| = {abs(ell)} exceeds the supported range {MAX_CHARGE}")
     lo, hi = 4 * grid.pitch, grid.window / 4
@@ -139,6 +128,23 @@ def lg_mode(
             f"beam waist {waist:g} m is outside the resolvable range "
             f"({lo:g}, {hi:g}) m for this grid"
         )
+
+
+def lg_mode(
+    grid: Grid, ell: int, waist: float, wavelength: float, box: Box = FULL
+) -> ScalarField:
+    """Vortex mode of topological charge ``ell``, normalized to unit power
+    on the whole grid, sampled on ``box``; ``check_mode`` refuses it first.
+
+    Amplitude (r sqrt2 / w0)^|ell| exp(-r^2/w0^2) with helical phase
+    exp(i ell phi); ell = 0 degenerates to a plain Gaussian.  Built as
+    ((x +- iy) sqrt2 / w0)^|ell| g(x) g(y), g(c) = exp(-c^2/w0^2), from the
+    1-D coordinates, so ``lg_mode(-ell)`` is the exact conjugate of
+    ``lg_mode(ell)`` and a box's samples are those of the whole grid.  The
+    power of the whole grid comes from 1-D sums, since
+    |x + iy|^2L = sum_k C(L, k) x^2k y^2(L-k).
+    """
+    check_mode(grid, ell, waist)
     c = grid.coords()
     x, y = c[box[1]], c[box[0]]
     scaled = c * (np.sqrt(2.0) / waist)
@@ -154,13 +160,10 @@ def lg_mode(
             field *= base
     field *= np.exp(-((y / waist) ** 2))[:, np.newaxis]
     field *= np.exp(-((x / waist) ** 2))[np.newaxis, :]
-    if box == FULL:
-        total = np.sum(np.abs(field) ** 2)
-    else:
-        # moments[k] = sum over one axis of scaled^2k g^2
-        g_sq = np.exp(-((c / waist) ** 2)) ** 2
-        moments = [float(np.sum(scaled ** (2 * k) * g_sq)) for k in range(abs(ell) + 1)]
-        total = sum(math.comb(abs(ell), k) * a * moments[-1 - k] for k, a in enumerate(moments))
+    # moments[k] = sum over one axis of scaled^2k g^2
+    g_sq = np.exp(-((c / waist) ** 2)) ** 2
+    moments = [float(np.sum(scaled ** (2 * k) * g_sq)) for k in range(abs(ell) + 1)]
+    total = sum(math.comb(abs(ell), k) * a * moments[-1 - k] for k, a in enumerate(moments))
     field /= np.sqrt(total * grid.pitch**2)
     return ScalarField(field, grid, wavelength, box)
 
@@ -228,45 +231,31 @@ def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
     return ScalarField(field.samples * mask, field.grid, field.wavelength, field.box)
 
 
-def _lens(field: ScalarField, focal_length: float) -> tuple[float, Grid]:
-    """Amplitude scale of the lens transform and its full far-field grid."""
+def _lens_scale(field: ScalarField, focal_length: float) -> float:
+    """Amplitude scale of the lens transform: pitch^2 / (wavelength f)."""
     if not focal_length > 0:
         raise ValueError(f"focal length must be positive, got {focal_length}")
-    lam_f = field.wavelength * focal_length
-    n = field.grid.n
-    return field.grid.pitch**2 / lam_f, Grid(n, n * lam_f / field.grid.window)
+    return field.grid.pitch**2 / (field.wavelength * focal_length)
 
 
-def far_field(field: ScalarField, focal_length: float) -> ScalarField:
-    """Focal-plane field of a thin lens placed at the input plane.
+def far_field(field: ScalarField, focal_length: float, m: int | None = None) -> ScalarField:
+    """Focal-plane field of a thin lens placed at the input plane, on the
+    centred m x m window of the n x n camera frame (the whole frame when
+    ``m`` is omitted).
 
-    A centered discrete Fourier transform with output coordinates
-    x' = wavelength * focal_length * spatial frequency; the amplitude
-    scale is chosen so total power is conserved exactly.  A field on a box
-    is zero-padded to the whole grid first.
-    """
-    scale, out_grid = _lens(field, focal_length)
-    samples = field.samples
-    if field.box != FULL:
-        samples = np.zeros((field.grid.n, field.grid.n), dtype=complex)
-        samples[field.box] = field.samples
-    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(samples)))
-    spectrum *= scale
-    return ScalarField(spectrum, out_grid, field.wavelength)
-
-
-def window_far_field(field: ScalarField, focal_length: float, m: int) -> ScalarField:
-    """The centred m x m window of ``far_field(field)``, computed from the
-    field's box alone as the matrix DFT W_rows . samples . W_cols^T
-    (Soummer et al., Opt. Express 15, 15935 (2007)).
-
+    The frame is the centred DFT of the field with output coordinates
+    x' = wavelength * focal_length * spatial frequency, scaled so the whole
+    frame holds the field's power.  It is computed from the field's box
+    alone as the matrix DFT W_rows . samples . W_cols^T (Soummer et al.,
+    Opt. Express 15, 15935 (2007)):
     W[u, p] = exp(-2 pi i ((u p) mod n) / n) for window frequency u in
     [-m/2, m/2) and box index p, both centred; reducing the integer
-    product mod n keeps the phase exact.  The window's grid has the full
-    frame's pitch, so its coordinates are the full frame's slice.
+    product mod n keeps the phase exact.  Every window has the frame's
+    pitch, so its coordinates are the frame's slice.
     """
-    scale, out_grid = _lens(field, focal_length)
+    scale = _lens_scale(field, focal_length)
     n = field.grid.n
+    m = n if m is None else m
     if m > n:
         raise ValueError(f"window of {m} pixels exceeds the {n}-pixel grid")
     phase = np.exp(-2j * np.pi * np.arange(n) / n)
@@ -277,27 +266,31 @@ def window_far_field(field: ScalarField, focal_length: float, m: int) -> ScalarF
 
     spectrum = dft(field.box[0]) @ field.samples @ dft(field.box[1]).T
     spectrum *= scale
-    return ScalarField(spectrum, Grid(m, m * out_grid.pitch), field.wavelength)
+    pitch = field.wavelength * focal_length / field.grid.window
+    return ScalarField(spectrum, Grid(m, m * pitch), field.wavelength)
 
 
-def window_tail_bound(field: ScalarField, focal_length: float, m: int) -> float:
-    """Upper bound on |far_field(field)| at every pixel outside its
-    centred m x m window.
+def window_tail_bound(field: ScalarField, focal_length: float) -> Callable[[int], float]:
+    """Upper bound on |far_field(field)| at every pixel outside the centred
+    m x m window, as a function of m.
 
     F(k) (1 - exp(-2 pi i k_x / n)) is the DFT of the field's difference
     along x, whose magnitude is at most its total variation TV_x (the sum
     of |f[i, j] - f[i, j-1]| over the zero-padded box).  A pixel outside
     the window has |k_x| >= m/2 or |k_y| >= m/2, so
-    |F| <= scale max(TV_x, TV_y) / (2 sin(pi m / 2n)).
+    |F| <= scale max(TV_x, TV_y) / (2 sin(pi m / 2n)).  The variation is
+    summed once, here.
     """
-    scale, _ = _lens(field, focal_length)
+    scale = _lens_scale(field, focal_length)
     f = field.samples
     # the zero padding adds the first and last samples along the axis
     variation = max(
         float(np.abs(np.diff(f, axis=axis)).sum() + np.abs(f.take([0, -1], axis=axis)).sum())
         for axis in (0, 1)
     )
-    return scale * variation / (2.0 * math.sin(math.pi * m / (2 * field.grid.n)))
+    tail = scale * variation
+    n = field.grid.n
+    return lambda m: tail / (2.0 * math.sin(math.pi * m / (2 * n)))
 
 
 def intensity(field: ScalarField) -> np.ndarray:

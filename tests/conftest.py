@@ -2,12 +2,25 @@ import numpy as np
 import pytest
 
 from oamcnot.hybrid import HybridState
-from oamcnot.wavefield import ApertureSpec, Grid, OpticalParams, TRIANGLE
+from oamcnot.wavefield import ApertureSpec, Grid, OpticalParams, ScalarField, TRIANGLE
 
 
 def random_hybrid_state(rng: np.random.Generator, magnitude: int = 1) -> HybridState:
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return HybridState(amps / np.linalg.norm(amps), magnitude)
+
+
+def fft_far_field(field: ScalarField, focal_length: float) -> ScalarField:
+    """Reference lens, independent of the package's matrix DFT: the field
+    zero-padded to the whole grid, a centred FFT, and the power-conserving
+    scale pitch^2 / (wavelength f), on the whole camera frame."""
+    n = field.grid.n
+    samples = np.zeros((n, n), dtype=complex)
+    samples[field.box] = field.samples
+    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(samples)))
+    lam_f = field.wavelength * focal_length
+    spectrum *= field.grid.pitch**2 / lam_f
+    return ScalarField(spectrum, Grid(n, n * lam_f / field.grid.window), field.wavelength)
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ only a centred window of the far field, as large as a total-variation
 bound needs to prove that every pixel outside it is below the peak
 threshold.  These tests check the pieces (box, mask, mode, matrix DFT),
 the bound itself, and that a window reads out exactly as the full frame.
+"The full frame" is always the zero-padded FFT of ``conftest``, never the
+lens under test.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import fft_far_field
 from oamcnot.cli import main
 from oamcnot.readout import (
     DEFAULT_THRESHOLD_FRAC,
@@ -41,7 +44,6 @@ from oamcnot.wavefield import (
     intensity,
     lg_mode,
     power,
-    window_far_field,
     window_tail_bound,
 )
 
@@ -97,8 +99,8 @@ class TestBox:
         full = lg_mode(grid, ell, 0.5e-3, 532e-9)
         on_box = lg_mode(grid, ell, 0.5e-3, 532e-9, box)
         assert on_box.box == box and full.box == FULL
-        # the power of the whole grid comes from 1-D sums: equal up to rounding
-        np.testing.assert_allclose(on_box.samples, full.samples[box], rtol=1e-13, atol=0)
+        # one normalization, from 1-D sums, whatever the box
+        assert np.array_equal(on_box.samples, full.samples[box])
         assert abs(power(full) - 1.0) < 1e-12
 
     def test_box_field_shape_is_checked(self):
@@ -111,9 +113,9 @@ class TestWindowTransform:
     def test_window_is_the_full_frames_centre(self, ell, params):
         grid = Grid(256, 8e-3)
         field = masked_box_field(grid, ell, ApertureSpec(TRIANGLE, 2e-3, 0.4), params)
-        full = far_field(field, F)
+        full = fft_far_field(field, F)
         for m in (64, 128, 256):
-            window = window_far_field(field, F, m)
+            window = far_field(field, F, m)
             lo = grid.n // 2 - m // 2
             centre = full.samples[lo : lo + m, lo : lo + m]
             scale = np.abs(full.samples).max()
@@ -124,7 +126,20 @@ class TestWindowTransform:
     def test_window_wider_than_the_grid_is_refused(self, params):
         field = masked_box_field(Grid(128, 8e-3), 1, ApertureSpec(TRIANGLE, 2e-3), params)
         with pytest.raises(ValueError, match="exceeds"):
-            window_far_field(field, F, 256)
+            far_field(field, F, 256)
+
+    @pytest.mark.parametrize("case", ["unapertured vortex, 256", "masked box, 1024"])
+    def test_whole_frame_is_the_fft(self, case, params):
+        if case.startswith("unapertured"):
+            field = lg_mode(Grid(256, 8e-3), 3, params.beam_waist, params.wavelength)
+        else:
+            grid = Grid(1024, 8e-3)
+            field = masked_box_field(grid, -2, ApertureSpec(TRIANGLE, 2e-3, 0.4), params)
+        full = fft_far_field(field, F)
+        whole = far_field(field, F)
+        scale = np.abs(full.samples).max()
+        assert np.abs(whole.samples - full.samples).max() < 1e-12 * scale
+        assert whole.grid == full.grid
 
 
 @settings(max_examples=30, deadline=None)
@@ -146,13 +161,14 @@ def test_every_pixel_outside_a_window_is_within_its_bound(n, side_mm, waist_mm, 
     params = OpticalParams(beam_waist=waist_mm * 1e-3)
     aperture = ApertureSpec(TRIANGLE, side_mm * 1e-3, math.radians(degrees))
     field = masked_box_field(grid, ell, aperture, params)
-    img = intensity(far_field(field, F))
+    img = intensity(fft_far_field(field, F))
+    bound = window_tail_bound(field, F)
     m = 64
     while m < n:
         outside = img.copy()
         lo = n // 2 - m // 2
         outside[lo : lo + m, lo : lo + m] = 0.0
-        assert outside.max() <= window_tail_bound(field, F, m) ** 2
+        assert outside.max() <= bound(m) ** 2
         m *= 2
 
 
@@ -166,8 +182,8 @@ def test_the_bound_is_tight_for_a_plane_wave_just_outside_the_window():
     x = np.arange(box[1].start, box[1].stop) - n // 2
     samples = np.tile(np.exp(2j * np.pi * (m // 2) * x / n), (64, 1))
     field = ScalarField(samples, grid, 532e-9, box)
-    peak = intensity(far_field(field, F)).max()
-    assert peak <= window_tail_bound(field, F, m) ** 2 <= 1.05 * peak
+    peak = intensity(fft_far_field(field, F)).max()
+    assert peak <= window_tail_bound(field, F)(m) ** 2 <= 1.05 * peak
 
 
 @pytest.mark.parametrize(
@@ -193,12 +209,9 @@ def test_window_reads_out_as_the_full_frame(n, ell, degrees, side_mm, waist_mm):
     aperture = ApertureSpec(TRIANGLE, side_mm * 1e-3, math.radians(degrees))
 
     def full_frame():
-        img, far_grid = render_image(
-            lg_mode(grid, ell, params.beam_waist, params.wavelength),
-            aperture_mask(grid, aperture),
-            params.focal_length,
-        )
-        return read_image(img, far_grid, aperture, params, DEFAULT_THRESHOLD_FRAC)
+        mode = lg_mode(grid, ell, params.beam_waist, params.wavelength)
+        far = fft_far_field(apply_mask(mode, aperture_mask(grid, aperture)), params.focal_length)
+        return read_image(intensity(far), far.grid, aperture, params, DEFAULT_THRESHOLD_FRAC)
 
     window = outcome(lambda: readout_roundtrip(ell, params, grid, aperture))
     assert window == outcome(full_frame)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oamcnot import circuit
+from oamcnot import circuit, readout
 from oamcnot.circuit import (
     Circuit,
     Detect,
@@ -22,7 +22,7 @@ from oamcnot.circuit import (
 )
 from oamcnot.hybrid import PolarizationAxis, bell_state
 from oamcnot.readout import render_image
-from oamcnot.wavefield import Grid, OpticalParams, aperture_mask, lg_mode
+from oamcnot.wavefield import FULL, Grid, OpticalParams, aperture_box, aperture_mask, lg_mode
 
 REFERENCE_TEXT = (
     "SOURCE pol=V oam=1\n"
@@ -319,20 +319,54 @@ class TestRunWave:
             oam_bit = int(np.argmax(amps)) % 2
             assert outcome.readout.sign == ("+" if oam_bit == 0 else "-")
 
-    def test_requires_aperture_and_detect(self, fast_grid, params):
-        # Without both, every outcome is still rendered, through the mask
-        # only when there is a TRIAPERTURE, but none is read out.
-        mask = aperture_mask(fast_grid, TriangleAperture(2).spec)
-        for text, outcome_mask in (
-            ("SOURCE pol=D oam=1\nDETECT", None),
-            ("SOURCE pol=D oam=1\nTRIAPERTURE side=2", mask),
+    def test_requires_aperture_and_detect(self, monkeypatch, fast_grid, params):
+        # An outcome that is neither read out (TRIAPERTURE and DETECT) nor
+        # written is not rendered: no mode, no mask, no lens.
+        calls = [
+            *(counting(monkeypatch, name) for name in ("lg_mode", "aperture_mask")),
+            counting(monkeypatch, "far_field", readout),
+        ]
+        for text in ("SOURCE pol=D oam=1\nDETECT", "SOURCE pol=D oam=1\nTRIAPERTURE side=2"):
+            wave = run_wave(parse(text), fast_grid, params)
+            assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
+            for outcome in wave.outcomes:
+                assert outcome.intensity_map is None and outcome.readout is None
+        assert calls == [[], [], []]
+
+    @pytest.mark.parametrize(
+        "waist, text, message",
+        [
+            (0.5e-3, "SOURCE pol=H oam=11", "|ell| = 11 exceeds"),
+            (0.5e-3, "SOURCE pol=H oam=-11\nTRIAPERTURE side=2", "|ell| = 11 exceeds"),
+            (3e-3, "SOURCE pol=H oam=0\nDETECT", "beam waist 0.003 m"),
+            (3e-3, "SOURCE pol=H oam=11\nTRIAPERTURE side=20", "triangle side 0.02 m"),
+        ],
+    )
+    def test_unrendered_outcome_is_refused_as_a_rendered_one(self, waist, text, message, fast_grid):
+        params = OpticalParams(beam_waist=waist)
+        refusals = []
+        for full_frame in (False, True):
+            with pytest.raises(ValueError) as info:
+                run_wave(parse(text), fast_grid, params, full_frame=full_frame)
+            refusals.append(str(info.value))
+        assert refusals[0] == refusals[1] and refusals[0].startswith(message)
+
+    def test_written_outcome_is_the_whole_frame_from_the_aperture_box(self, fast_grid, params):
+        spec = TriangleAperture(2).spec
+        box = aperture_box(fast_grid, spec)
+        for text, outcome_box, outcome_mask in (
+            ("SOURCE pol=D oam=1\nDETECT", FULL, None),
+            ("SOURCE pol=D oam=1\nTRIAPERTURE side=2", box, aperture_mask(fast_grid, spec, box)),
         ):
             wave = run_wave(parse(text), fast_grid, params, full_frame=True)
             assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
             for outcome in wave.outcomes:
                 assert outcome.readout is None
-                field = synthesize_field(wave.logical, outcome.axis, fast_grid, params)
+                field = synthesize_field(
+                    wave.logical, outcome.axis, fast_grid, params, outcome_box
+                )
                 img, _ = render_image(field, outcome_mask, params.focal_length)
+                assert img.shape == (fast_grid.n, fast_grid.n)
                 assert np.array_equal(outcome.intensity_map, img)
 
     def test_no_polarizer_renders_both_outcomes(self, fast_grid, params):
@@ -384,16 +418,16 @@ class TestRunWave:
             assert abs(probability - 0.25) < 1e-12
 
 
-def counting(monkeypatch, name):
-    """Wrap ``circuit.<name>`` so that every call is recorded."""
+def counting(monkeypatch, name, module=circuit):
+    """Wrap ``module.<name>`` so that every call is recorded."""
     calls = []
-    real = getattr(circuit, name)
+    real = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(circuit, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
