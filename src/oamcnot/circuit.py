@@ -35,7 +35,7 @@ from .hybrid import (
     project_polarization,
 )
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, compose_mzi
-from .readout import DEFAULT_THRESHOLD_FRAC, ReadoutError, ReadoutResult, read_image, render_image
+from .readout import ReadoutError, ReadoutResult, classify_oam, render_image
 from .wavefield import (
     FULL,
     ApertureSpec,
@@ -46,7 +46,10 @@ from .wavefield import (
     TRIANGLE,
     aperture_box,
     aperture_mask,
+    apply_mask,
     check_mode,
+    far_field,
+    intensity,
     lg_mode,
 )
 
@@ -420,12 +423,10 @@ def run_logical(circuit: Circuit) -> LogicalRun:
 
 @dataclass(frozen=True)
 class WaveOutcome:
-    """One polarization outcome at the camera.  ``intensity_map`` is None
-    unless the outcome is read out or written: then it is the whole camera
-    frame, or the centred window of it that a readout renders (its shape
-    tells which; the pitch is the same).  ``readout`` is None unless the
-    circuit has TRIAPERTURE and DETECT, and the ReadoutError of an OAM
-    superposition the classifier cannot read."""
+    """One polarization outcome at the camera.  ``intensity_map`` is the
+    whole camera frame when the outcome is written, else None.
+    ``readout`` is None unless the circuit has TRIAPERTURE and DETECT, and
+    the ReadoutError of an OAM superposition the classifier cannot read."""
 
     axis: PolarizationAxis
     probability: float
@@ -511,22 +512,18 @@ def synthesize_field(
 
 
 def run_wave(
-    circuit: Circuit,
-    grid: Grid,
-    params: OpticalParams,
-    *,
-    threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
-    full_frame: bool = False,
+    circuit: Circuit, grid: Grid, params: OpticalParams, *, full_frame: bool = False
 ) -> WaveRun:
     """Each polarization outcome at the camera, rendered only when it is
     read out (the circuit has TRIAPERTURE and DETECT) or written
-    (``full_frame``): onto the whole frame to be written, else onto the
-    camera window that ``render_image`` proves holds every spot.  Behind an
-    aperture only its box is synthesized.  An outcome left unrendered is
-    refused as a rendered one would be: the aperture must fit, then
-    ``check_mode`` judges the source's charge and the waist.  The box and
-    mask come with the first outcome, so a blocked beam builds neither.
-    A ReadoutError is raised only for an outcome with an expected charge."""
+    (``full_frame``).  Behind an aperture only its box is synthesized, and
+    each outcome is masked once.  A readout is always read from the camera
+    window that ``render_image`` proves holds every spot; the whole frame
+    is rendered only to be written.  An outcome left unrendered is refused
+    as a rendered one would be: the aperture must fit, then ``check_mode``
+    judges the source's charge and the waist.  The box and mask come with
+    the first outcome, so a blocked beam builds neither.  A ReadoutError
+    is raised only for an outcome with an expected charge."""
     aperture_stmt = circuit.first_of(TriangleAperture)
     aperture = None if aperture_stmt is None else aperture_stmt.spec
     reads_out = aperture is not None and circuit.first_of(Detect) is not None
@@ -543,20 +540,19 @@ def run_wave(
             continue
         if aperture is not None and mask is None:
             mask = aperture_mask(grid, aperture, box)
-        img, far_grid = render_image(
-            synthesize_field(logical, axis, grid, params, box),
-            mask,
-            params.focal_length,
-            None if full_frame else threshold_frac,
-        )
+        field = synthesize_field(logical, axis, grid, params, box)
+        if mask is not None:
+            field = apply_mask(field, mask)
         readout = None
         if reads_out:
+            img, far_grid = render_image(field, params.focal_length)
             try:
-                readout = read_image(img, far_grid, aperture, params, threshold_frac)
+                readout = classify_oam(img, aperture, far_grid, params)
             except ReadoutError as exc:
                 if expected_charge(logical, axis) is not None:
                     raise
                 # the traceback would keep the classifier's arrays alive
                 readout = exc.with_traceback(None)
-        outcomes.append(WaveOutcome(axis, probability, img, readout))
+        frame = intensity(far_field(field, params.focal_length)) if full_frame else None
+        outcomes.append(WaveOutcome(axis, probability, frame, readout))
     return WaveRun(logical, tuple(outcomes))

@@ -19,7 +19,7 @@ import numpy as np
 from . import circuit as dsl
 from .hybrid import basis_state, bell_state, concurrence, fidelity
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, STRICT_PARITY
-from .readout import DEFAULT_THRESHOLD_FRAC, ReadoutError
+from .readout import ReadoutError
 from .wavefield import MAX_CHARGE, Grid, OpticalParams
 
 EXIT_OK = 0
@@ -42,7 +42,6 @@ class RunConfig:
     lambda_nm: float = 532.0
     focal_cm: float = 30.0
     side_mm: float = 2.0
-    threshold: float = DEFAULT_THRESHOLD_FRAC
     mode: str = PAPER_DEFAULT
     out: str | None = None
     raw_float: bool = False
@@ -52,8 +51,6 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.mode not in MODE_LABELS:
             raise ValueError(f"mode must be one of {MODE_LABELS}, got {self.mode!r}")
         object.__setattr__(self, "grid", Grid(self.grid_n, self.window_mm * 1e-3))
@@ -75,7 +72,6 @@ _FLAGS = {
     "lambda_nm": dict(type=float, help="wavelength (nm)"),
     "focal_cm": dict(type=float, help="focal length (cm)"),
     "side_mm": dict(type=float, help="triangle side (mm)"),
-    "threshold": dict(type=float, help="peak threshold as a fraction of the image maximum"),
     "mode": dict(choices=MODE_LABELS, help="interferometer reflection-parity convention"),
     "out": dict(help="directory for images and reports"),
     "raw_float": dict(action="store_true", help="also dump raw float64 .npy images"),
@@ -192,7 +188,7 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
         try:
             wave = dsl.run_wave(
                 _row_circuit(pol, ell, config), config.grid, config.optical_params,
-                threshold_frac=config.threshold, full_frame=config.out is not None,
+                full_frame=config.out is not None,
             )
             (outcome,) = wave.outcomes
             exp_amps = basis_state(
@@ -279,8 +275,7 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
 
     try:
         wave = dsl.run_wave(
-            circ, config.grid, config.optical_params, threshold_frac=config.threshold,
-            full_frame=config.out is not None,
+            circ, config.grid, config.optical_params, full_frame=config.out is not None
         )
         logical, outcomes, wave_error = wave.logical, wave.outcomes, None
     except (ReadoutError, ValueError) as exc:
@@ -342,9 +337,7 @@ def cmd_readout_sweep(ell_min: int, ell_max: int, config: RunConfig, stream) -> 
             (dsl.Source("H", ell), dsl.TriangleAperture(config.side_mm), dsl.Detect())
         )
         try:
-            wave = dsl.run_wave(
-                circ, config.grid, config.optical_params, threshold_frac=config.threshold
-            )
+            wave = dsl.run_wave(circ, config.grid, config.optical_params)
         except (ReadoutError, ValueError) as exc:
             note = str(exc).replace(",", ";")
             csv.append(f"{ell},,,,,no,{note}")

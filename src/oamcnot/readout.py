@@ -2,10 +2,9 @@
 far-field pattern behind a triangular aperture.
 
 The camera path is two steps that every caller shares: ``render_image``
-(mask, lens, intensity) and ``read_image`` (separation floor, classify).
-A readout renders only a centred camera window that provably holds every
-spot; the whole frame, the widest window, is rendered when an image is to
-be written.
+(lens and intensity of a masked field, onto a centred camera window that
+provably holds every spot) and ``classify_oam`` (peaks at the fixed
+threshold and the lattice-based separation floor, then the vote).
 
 The pattern is a finite triangular lattice of bright spots; counting N
 spots on a side gives the magnitude |ell| = N - 1, and the lattice's
@@ -41,7 +40,9 @@ SIGN_POSITIVE = "+"
 SIGN_NEGATIVE = "-"
 SIGN_UNDEFINED = "undefined"
 
-DEFAULT_THRESHOLD_FRAC = 0.3
+#: Peak threshold as a fraction of the image maximum, fixed as the
+#: camera's optics are.
+THRESHOLD_FRAC = 0.3
 #: Default peak separation as a fraction of lambda * f / aperture size.
 SEPARATION_FRACTION = 0.3
 #: Minimum |orientation_score| below which the vote is declared ambiguous.
@@ -229,27 +230,23 @@ def _match_score(points: np.ndarray, template: np.ndarray, kernel: float) -> flo
 
 
 def classify_oam(
-    img: np.ndarray,
-    aperture: ApertureSpec,
-    grid: Grid,
-    *,
-    threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
-    min_separation: float | None = None,
+    img: np.ndarray, aperture: ApertureSpec, grid: Grid, params: OpticalParams
 ) -> ReadoutResult:
     """Infer (sign, magnitude) of the charge from a far-field image.
 
-    ``grid`` is the far-field grid the image lives on.  When
-    ``min_separation`` is omitted the two-pixel floor is used; callers
-    that know the optics should pass the lattice-based default instead.
+    ``grid`` is the far-field grid the image lives on.  Peaks are found
+    at ``THRESHOLD_FRAC`` with the lattice-based separation floor of the
+    optics ``params`` and ``aperture``.
 
     The magnitude comes from the spots-per-side count; the sign from a
     vote between the ideal lattice at the positive-charge orientation
     (aperture direction rotated +90 degrees) and its point reflection.
     ``orientation_score`` is the normalized margin between the two votes.
     """
-    if min_separation is None:
-        min_separation = 2.0 * grid.pitch
-    peaks = find_peaks(img, threshold_frac, min_separation, grid)
+    min_separation = default_min_separation(
+        params.wavelength, params.focal_length, aperture.size, grid.pitch
+    )
+    peaks = find_peaks(img, THRESHOLD_FRAC, min_separation, grid)
     n_side = count_spots_per_side(peaks)
     magnitude = n_side - 1
     if magnitude == 0:
@@ -286,68 +283,38 @@ def default_min_separation(
     )
 
 
-def render_image(
-    field: ScalarField,
-    mask: np.ndarray | None,
-    focal_length: float,
-    threshold_frac: float | None = None,
-) -> tuple[np.ndarray, Grid]:
-    """Camera image of a field: through the mask (if any) and the lens.
+def render_image(field: ScalarField, focal_length: float) -> tuple[np.ndarray, Grid]:
+    """Camera image of a masked field through the lens.
 
-    Returns the far-field intensity and the far-field grid it lives on:
-    the whole frame, or with ``threshold_frac`` the smallest centred window
+    Returns the far-field intensity on the smallest centred window
     (``FIRST_WINDOW`` pixels wide, doubling up to the whole frame) whose
-    tail bound puts every pixel outside it below ``threshold_frac`` times
-    the window's maximum.  The global maximum and every peak candidate
-    then lie inside, and a window edge pixel's outside neighbors are below
-    threshold, so ``find_peaks`` finds the same peaks in the window as in
-    the whole frame.
+    tail bound puts every pixel outside it below ``THRESHOLD_FRAC`` times
+    the window's maximum, and the far-field grid of that window.  The
+    global maximum and every peak candidate then lie inside, and a window
+    edge pixel's outside neighbors are below threshold, so ``find_peaks``
+    finds the same peaks in the window as in the whole frame.
     """
-    if mask is not None:
-        field = apply_mask(field, mask)
     n = field.grid.n
-    m = n if threshold_frac is None else FIRST_WINDOW
-    bound = None if threshold_frac is None else window_tail_bound(field, focal_length)
+    bound = window_tail_bound(field, focal_length)
+    m = FIRST_WINDOW
     while True:
         far = far_field(field, focal_length, m)
         img = intensity(far)
         # the margin covers the rounding of the bound and of the transform
-        if m == n or bound(m) ** 2 * (1.0 + 1e-9) < threshold_frac * float(img.max()):
+        if m == n or bound(m) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * float(img.max()):
             return img, far.grid
         m *= 2
 
 
-def read_image(
-    img: np.ndarray,
-    grid: Grid,
-    aperture: ApertureSpec,
-    params: OpticalParams,
-    threshold_frac: float,
-) -> ReadoutResult:
-    """Classify a camera image with the lattice-based separation floor."""
-    min_sep = default_min_separation(
-        params.wavelength, params.focal_length, aperture.size, grid.pitch
-    )
-    return classify_oam(
-        img, aperture, grid, threshold_frac=threshold_frac, min_separation=min_sep
-    )
-
-
 def readout_roundtrip(
-    ell: int,
-    params: OpticalParams,
-    grid: Grid,
-    aperture: ApertureSpec,
-    *,
-    threshold_frac: float = DEFAULT_THRESHOLD_FRAC,
+    ell: int, params: OpticalParams, grid: Grid, aperture: ApertureSpec
 ) -> ReadoutResult:
     """Full pipeline: synthesize the vortex on the aperture's box, mask it,
     propagate onto a camera window, classify."""
     box = aperture_box(grid, aperture)  # refuses a bad aperture first
-    img, far_grid = render_image(
+    field = apply_mask(
         lg_mode(grid, ell, params.beam_waist, params.wavelength, box),
         aperture_mask(grid, aperture, box),
-        params.focal_length,
-        threshold_frac,
     )
-    return read_image(img, far_grid, aperture, params, threshold_frac)
+    img, far_grid = render_image(field, params.focal_length)
+    return classify_oam(img, aperture, far_grid, params)

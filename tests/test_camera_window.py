@@ -22,10 +22,9 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import fft_far_field
 from oamcnot.cli import main
 from oamcnot.readout import (
-    DEFAULT_THRESHOLD_FRAC,
     ReadoutError,
+    classify_oam,
     find_peaks,
-    read_image,
     readout_roundtrip,
     render_image,
 )
@@ -191,7 +190,7 @@ def test_the_bound_is_tight_for_a_plane_wave_just_outside_the_window():
 )
 def test_window_chosen_at_the_reference_optics(ell, m, params, paper_aperture, default_grid):
     field = masked_box_field(default_grid, ell, paper_aperture, params)
-    img, grid = render_image(field, None, F, DEFAULT_THRESHOLD_FRAC)
+    img, grid = render_image(field, F)
     assert img.shape == (m, m) and grid.n == m
 
 
@@ -211,7 +210,7 @@ def test_window_reads_out_as_the_full_frame(n, ell, degrees, side_mm, waist_mm):
     def full_frame():
         mode = lg_mode(grid, ell, params.beam_waist, params.wavelength)
         far = fft_far_field(apply_mask(mode, aperture_mask(grid, aperture)), params.focal_length)
-        return read_image(intensity(far), far.grid, aperture, params, DEFAULT_THRESHOLD_FRAC)
+        return classify_oam(intensity(far), aperture, far.grid, params)
 
     window = outcome(lambda: readout_roundtrip(ell, params, grid, aperture))
     assert window == outcome(full_frame)

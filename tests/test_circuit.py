@@ -21,8 +21,16 @@ from oamcnot.circuit import (
     synthesize_field,
 )
 from oamcnot.hybrid import PolarizationAxis, bell_state
-from oamcnot.readout import render_image
-from oamcnot.wavefield import FULL, Grid, OpticalParams, aperture_box, aperture_mask, lg_mode
+from oamcnot.wavefield import (
+    FULL,
+    OpticalParams,
+    aperture_box,
+    aperture_mask,
+    apply_mask,
+    far_field,
+    intensity,
+    lg_mode,
+)
 
 REFERENCE_TEXT = (
     "SOURCE pol=V oam=1\n"
@@ -323,7 +331,7 @@ class TestRunWave:
         # An outcome that is neither read out (TRIAPERTURE and DETECT) nor
         # written is not rendered: no mode, no mask, no lens.
         calls = [
-            *(counting(monkeypatch, name) for name in ("lg_mode", "aperture_mask")),
+            *(counting(monkeypatch, name) for name in ("lg_mode", "aperture_mask", "far_field")),
             counting(monkeypatch, "far_field", readout),
         ]
         for text in ("SOURCE pol=D oam=1\nDETECT", "SOURCE pol=D oam=1\nTRIAPERTURE side=2"):
@@ -331,7 +339,7 @@ class TestRunWave:
             assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
             for outcome in wave.outcomes:
                 assert outcome.intensity_map is None and outcome.readout is None
-        assert calls == [[], [], []]
+        assert calls == [[], [], [], []]
 
     @pytest.mark.parametrize(
         "waist, text, message",
@@ -365,9 +373,33 @@ class TestRunWave:
                 field = synthesize_field(
                     wave.logical, outcome.axis, fast_grid, params, outcome_box
                 )
-                img, _ = render_image(field, outcome_mask, params.focal_length)
+                if outcome_mask is not None:
+                    field = apply_mask(field, outcome_mask)
+                img = intensity(far_field(field, params.focal_length))
                 assert img.shape == (fast_grid.n, fast_grid.n)
                 assert np.array_equal(outcome.intensity_map, img)
+
+    @pytest.mark.parametrize(
+        "text",
+        [REFERENCE_TEXT, "SOURCE pol=D oam=1\nTRIAPERTURE side=2\nDETECT"],
+        ids=["reference", "two-outcomes"],
+    )
+    def test_written_outcome_is_read_from_the_camera_window(
+        self, monkeypatch, text, fast_grid, params
+    ):
+        # Writing the whole frame does not move the readout onto it: the
+        # peak finder sees only the window, and every readout is the one
+        # of the same run without the frame.
+        calls = counting(monkeypatch, "find_peaks", readout)
+        written = run_wave(parse(text), fast_grid, params, full_frame=True)
+        read = run_wave(parse(text), fast_grid, params)
+        shapes = [args[0].shape for args in calls]
+        assert shapes and (fast_grid.n, fast_grid.n) not in shapes
+        assert [o.readout for o in written.outcomes] == [o.readout for o in read.outcomes]
+        for outcome in written.outcomes:
+            assert outcome.intensity_map.shape == (fast_grid.n, fast_grid.n)
+        for outcome in read.outcomes:
+            assert outcome.intensity_map is None
 
     def test_no_polarizer_renders_both_outcomes(self, fast_grid, params):
         text = "SOURCE pol=D oam=1\nTRIAPERTURE side=2\nDETECT"

@@ -367,7 +367,6 @@ class TestFlags:
         "lambda_nm": "633",
         "focal_cm": "25",
         "side_mm": "1.9",
-        "threshold": "0.25",
         "mode": "strict-parity",
     }
 
@@ -407,6 +406,9 @@ class TestFlags:
             ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--mode", "strict-parity"],
             ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--raw-float"],
             ["bell", "--grid-n", "256"],
+            ["truth-table", "--threshold", "0.3"],
+            ["simulate", "c.circ", "--threshold", "0.3"],
+            ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--threshold", "0.3"],
         ],
         ids=[
             "simulate/--side-mm",
@@ -414,6 +416,9 @@ class TestFlags:
             "readout-sweep/--mode",
             "readout-sweep/--raw-float",
             "bell/--grid-n",
+            "truth-table/--threshold",
+            "simulate/--threshold",
+            "readout-sweep/--threshold",
         ],
     )
     def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv):
@@ -459,8 +464,6 @@ class TestDeterminism:
 def test_run_config_validation():
     with pytest.raises(ValueError, match="positive"):
         RunConfig(side_mm=-1.0)
-    with pytest.raises(ValueError, match="threshold"):
-        RunConfig(threshold=1.5)
     with pytest.raises(ValueError, match="mode"):
         RunConfig(mode="other")
     with pytest.raises(ValueError, match="power of two"):

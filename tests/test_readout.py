@@ -13,12 +13,14 @@ from oamcnot.readout import (
     default_min_separation,
     find_peaks,
     readout_roundtrip,
+    render_image,
 )
 from oamcnot.wavefield import (
     ApertureSpec,
     Grid,
     OpticalParams,
     TRIANGLE,
+    aperture_box,
     aperture_mask,
     apply_mask,
     far_field,
@@ -180,22 +182,22 @@ class TestClassify:
         assert result.spots_per_side == 1
         assert result.topological_charge == 0
 
-    def test_point_reflected_image_flips_sign(self, fast_grid, paper_aperture):
+    def test_point_reflected_image_flips_sign(self, fast_grid, params, paper_aperture):
         img, far_grid = far_intensity(2, fast_grid, paper_aperture)
-        forward = classify_oam(img, paper_aperture, far_grid)
-        mirrored = classify_oam(point_reflect(img), paper_aperture, far_grid)
+        forward = classify_oam(img, paper_aperture, far_grid, params)
+        mirrored = classify_oam(point_reflect(img), paper_aperture, far_grid, params)
         assert forward.sign == "+"
         assert mirrored.sign == "-"
         assert forward.magnitude == mirrored.magnitude == 2
 
-    def test_rotation_equivariance_at_thirds(self, fast_grid):
+    def test_rotation_equivariance_at_thirds(self, fast_grid, params):
         # rotating the aperture by 120 degrees changes neither the mask nor
         # the ideal lattice, so the classification must not move
         base = ApertureSpec(TRIANGLE, 2e-3, 0.2)
         rotated = ApertureSpec(TRIANGLE, 2e-3, 0.2 + 2.0 * np.pi / 3.0)
         img, far_grid = far_intensity(-2, fast_grid, base)
-        a = classify_oam(img, base, far_grid)
-        b = classify_oam(img, rotated, far_grid)
+        a = classify_oam(img, base, far_grid, params)
+        b = classify_oam(img, rotated, far_grid, params)
         assert (a.magnitude, a.sign, a.spots_per_side) == (
             b.magnitude,
             b.sign,
@@ -204,16 +206,23 @@ class TestClassify:
         assert abs(a.orientation_score - b.orientation_score) < 1e-9
 
     def test_threshold_robustness(self, fast_grid, params, paper_aperture):
-        # moving the threshold across its working band changes nothing at all
+        # moving the peak finder's threshold across a band around the fixed
+        # one finds the same spots on the rendered camera window
+        box = aperture_box(fast_grid, paper_aperture)
+        mask = aperture_mask(fast_grid, paper_aperture, box)
         for ell in (-3, -1, 2):
-            results = [
-                readout_roundtrip(
-                    ell, params, fast_grid, paper_aperture, threshold_frac=threshold
-                )
+            field = lg_mode(fast_grid, ell, params.beam_waist, params.wavelength, box)
+            img, far_grid = render_image(apply_mask(field, mask), params.focal_length)
+            min_sep = default_min_separation(
+                params.wavelength, params.focal_length, paper_aperture.size, far_grid.pitch
+            )
+            positions = [
+                [(p.x, p.y) for p in find_peaks(img, threshold, min_sep, far_grid).peaks]
                 for threshold in (0.2, 0.3, 0.4)
             ]
-            assert results[0].topological_charge == ell
-            assert results[0] == results[1] == results[2]
+            n_side = abs(ell) + 1
+            assert len(positions[0]) == n_side * (n_side + 1) // 2
+            assert positions[0] == positions[1] == positions[2]
 
     def test_consistent_across_grid_resolutions(self, params, paper_aperture):
         for ell in (-3, 1, 2):
@@ -235,22 +244,22 @@ class TestClassify:
             img, 0.3, min_sep, far_grid
         )
 
-    def test_hexagon_is_ambiguous(self, fast_grid, paper_aperture):
+    def test_hexagon_is_ambiguous(self, fast_grid, params, paper_aperture):
         # six equal spots on a regular hexagon match both orientations
         radius = 20 * fast_grid.pitch
         angles = np.pi / 2 + np.arange(6) * np.pi / 3
         centers = [(radius * np.cos(a), radius * np.sin(a)) for a in angles]
         img = gaussian_spots(fast_grid, centers)
         with pytest.raises(AmbiguousOrientationError):
-            classify_oam(img, paper_aperture, fast_grid)
+            classify_oam(img, paper_aperture, fast_grid, params)
 
-    def test_non_lattice_count_raises_with_count(self, fast_grid, paper_aperture):
+    def test_non_lattice_count_raises_with_count(self, fast_grid, params, paper_aperture):
         img = gaussian_spots(
             fast_grid,
             [(-3e-3, 0.0), (3e-3, 0.0), (0.0, 3e-3), (0.0, -3e-3)],
         )
         with pytest.raises(ClassificationError) as err:
-            classify_oam(img, paper_aperture, fast_grid)
+            classify_oam(img, paper_aperture, fast_grid, params)
         assert err.value.peak_count == 4
 
     def test_under_resolved_grid_propagates_waist_error(self, params, paper_aperture):
