@@ -39,15 +39,13 @@ class RunConfig:
     grid_n: int = 1024
     window_mm: float = 8.0
     waist_mm: float = 0.5
-    lambda_nm: float = 532.0
-    focal_cm: float = 30.0
     side_mm: float = 2.0
     mode: str = PAPER_DEFAULT
     out: str | None = None
     raw_float: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("window_mm", "waist_mm", "lambda_nm", "focal_cm", "side_mm"):
+        for name in ("window_mm", "waist_mm", "side_mm"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -57,11 +55,10 @@ class RunConfig:
 
     @property
     def optical_params(self) -> OpticalParams:
-        return OpticalParams(
-            wavelength=self.lambda_nm * 1e-9,
-            focal_length=self.focal_cm * 1e-2,
-            beam_waist=self.waist_mm * 1e-3,
-        )
+        # The camera pitch is wavelength * focal_length / window, so the
+        # wavelength and the lens move no spot on the pixel grid: both stay
+        # at OpticalParams' defaults.
+        return OpticalParams(beam_waist=self.waist_mm * 1e-3)
 
 
 #: add_argument keywords of each RunConfig field's flag, in field order.
@@ -69,8 +66,6 @@ _FLAGS = {
     "grid_n": dict(type=int, help="grid samples per side"),
     "window_mm": dict(type=float, help="grid window (mm)"),
     "waist_mm": dict(type=float, help="beam waist (mm)"),
-    "lambda_nm": dict(type=float, help="wavelength (nm)"),
-    "focal_cm": dict(type=float, help="focal length (cm)"),
     "side_mm": dict(type=float, help="triangle side (mm)"),
     "mode": dict(choices=MODE_LABELS, help="interferometer reflection-parity convention"),
     "out": dict(help="directory for images and reports"),

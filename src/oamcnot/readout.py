@@ -69,10 +69,7 @@ class ClassificationError(ReadoutError):
     """Detected peak count is not a triangular number."""
 
     def __init__(self, peak_count: int):
-        super().__init__(
-            f"peak count {peak_count} is not triangular (1, 3, 6, 10, ...); "
-            "the grid, threshold, or separation is likely misconfigured"
-        )
+        super().__init__(f"peak count {peak_count} is not triangular (1, 3, 6, 10, ...)")
         self.peak_count = peak_count
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from oamcnot.circuit import format_circuit
 from oamcnot.cli import (
+    COMMAND_FIELDS,
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -111,7 +112,6 @@ class TestTruthTable:
         assert code == EXIT_OK
         assert "grid_n=256" in report
         assert "waist_mm=0.6" in report
-        assert "lambda_nm=532" in report
 
 
 class TestBell:
@@ -364,8 +364,6 @@ class TestFlags:
         "grid_n": "256",
         "window_mm": "7",
         "waist_mm": "0.45",
-        "lambda_nm": "633",
-        "focal_cm": "25",
         "side_mm": "1.9",
         "mode": "strict-parity",
     }
@@ -401,6 +399,37 @@ class TestFlags:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["truth-table"],
+            ["simulate", "CIRC"],
+            # at 256^2 and 512^2 the reference spots of |ell| <= 3 are on the same pixels
+            ["readout-sweep", "--ell-min", "1", "--ell-max", "4"],
+        ],
+        ids=["truth-table", "simulate", "readout-sweep"],
+    )
+    def test_each_value_flag_changes_the_report_or_an_image(self, tmp_path, argv):
+        circ = tmp_path / "ref.circ"
+        circ.write_text(REFERENCE_TEXT)
+        argv = [str(circ) if a == "CIRC" else a for a in argv]
+        reads = COMMAND_FIELDS[argv[0]]
+
+        def outputs(run, settings):
+            out = tmp_path / run
+            flags = [f"--{n.replace('_', '-')}={v}" for n, v in settings.items()]
+            _, report = run_cli([*argv, *flags, "--out", str(out)])
+            lines = report.replace(str(out), "DIR").splitlines()
+            unechoed = [l for l in lines if l.split("=", 1)[0] not in reads]
+            return unechoed, {p.name: p.read_bytes() for p in out.glob("*.pgm")}
+
+        baseline = outputs("defaults", {"grid_n": "256"})
+        for name in reads:
+            if name in ("out", "raw_float"):
+                continue
+            value = "512" if name == "grid_n" else self.SETTINGS[name]
+            assert outputs(name, {"grid_n": "256", name: value}) != baseline, name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["simulate", "c.circ", "--side-mm", "3"],
             ["simulate", "c.circ", "--mode", "strict-parity"],
             ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--mode", "strict-parity"],
@@ -409,6 +438,12 @@ class TestFlags:
             ["truth-table", "--threshold", "0.3"],
             ["simulate", "c.circ", "--threshold", "0.3"],
             ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--threshold", "0.3"],
+            ["truth-table", "--lambda-nm", "633"],
+            ["simulate", "c.circ", "--lambda-nm", "633"],
+            ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--lambda-nm", "633"],
+            ["truth-table", "--focal-cm", "25"],
+            ["simulate", "c.circ", "--focal-cm", "25"],
+            ["readout-sweep", "--ell-min", "0", "--ell-max", "0", "--focal-cm", "25"],
         ],
         ids=[
             "simulate/--side-mm",
@@ -419,6 +454,12 @@ class TestFlags:
             "truth-table/--threshold",
             "simulate/--threshold",
             "readout-sweep/--threshold",
+            "truth-table/--lambda-nm",
+            "simulate/--lambda-nm",
+            "readout-sweep/--lambda-nm",
+            "truth-table/--focal-cm",
+            "simulate/--focal-cm",
+            "readout-sweep/--focal-cm",
         ],
     )
     def test_a_flag_the_command_does_not_read_is_a_usage_error(self, argv):

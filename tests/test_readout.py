@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamcnot.readout import (
     AmbiguousOrientationError,
@@ -265,6 +266,51 @@ class TestClassify:
     def test_under_resolved_grid_propagates_waist_error(self, params, paper_aperture):
         with pytest.raises(ValueError, match="waist"):
             readout_roundtrip(1, params, Grid(64, 8e-3), paper_aperture)
+
+
+def _readout_or_refusal(ell, params, grid, aperture):
+    """(kind, charge or peak count, orientation score) of a readout."""
+    try:
+        result = readout_roundtrip(ell, params, grid, aperture)
+    except ClassificationError as exc:
+        return "peak count", exc.peak_count, 0.0
+    except AmbiguousOrientationError as exc:
+        return "ambiguous", None, exc.score
+    return "charge", result.topological_charge, result.orientation_score
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    wavelength_nm=st.floats(400.0, 1100.0),
+    focal_cm=st.floats(5.0, 100.0),
+    ell=st.integers(-8, 8),
+    degrees=st.floats(0.0, 120.0, exclude_max=True),
+)
+def test_wavelength_and_focal_length_move_no_spot(wavelength_nm, focal_cm, ell, degrees):
+    # The camera pitch is wavelength * f / window, so the optics only
+    # rescale the image: the window and every readout stay the same.
+    grid = Grid(256, 8e-3)
+    aperture = ApertureSpec(TRIANGLE, 2e-3, np.radians(degrees))
+    reference = OpticalParams()
+    optics = OpticalParams(wavelength_nm * 1e-9, focal_cm * 1e-2, reference.beam_waist)
+    kind, value, score = _readout_or_refusal(ell, optics, grid, aperture)
+    want_kind, want_value, want_score = _readout_or_refusal(ell, reference, grid, aperture)
+    assert (kind, value) == (want_kind, want_value)
+    assert abs(score - want_score) <= 1e-12
+
+    box = aperture_box(grid, aperture)
+    mask = aperture_mask(grid, aperture, box)
+    images = [
+        render_image(
+            apply_mask(lg_mode(grid, ell, p.beam_waist, p.wavelength, box), mask),
+            p.focal_length,
+        )[0]
+        for p in (optics, reference)
+    ]
+    assert images[0].shape == images[1].shape
+    lam_f = optics.wavelength * optics.focal_length
+    scaled = images[1] * (reference.wavelength * reference.focal_length / lam_f) ** 2
+    assert np.max(np.abs(images[0] - scaled)) <= 1e-12 * np.max(scaled)
 
 
 def test_default_min_separation_clamps_to_pixel_floor():
