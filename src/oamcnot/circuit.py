@@ -51,6 +51,7 @@ from .wavefield import (
     far_field,
     intensity,
     lg_mode,
+    point_reflect,
 )
 
 _POL_LABELS = ("H", "V", "D", "A")
@@ -485,6 +486,20 @@ def outcome_axes(run: LogicalRun) -> list[tuple[PolarizationAxis, float]]:
     return axes
 
 
+def _vortex_charge(run: LogicalRun, axis: PolarizationAxis) -> int | None:
+    """Signed charge of the one vortex mode a polarization outcome carries
+    (0 for a zero-charge source), or None when it carries both.  A mode
+    whose weight is exactly zero is not carried, as in ``synthesize_field``."""
+    if run.oam_is_zero:
+        return 0
+    plus, minus = _oam_components(run.final_state, axis)
+    if minus == 0:
+        return run.final_state.oam_magnitude
+    if plus == 0:
+        return -run.final_state.oam_magnitude
+    return None
+
+
 def synthesize_field(
     run: LogicalRun,
     axis: PolarizationAxis,
@@ -494,14 +509,15 @@ def synthesize_field(
 ) -> ScalarField:
     """Transverse field on ``box`` of the OAM component carried by a
     polarization outcome: a superposition of the +|ell| and -|ell| vortex
-    modes.  A mode whose weight is exactly zero is not built."""
+    modes.  A mode whose weight is exactly zero is left out.  Only the
+    +|ell| mode is built; the -|ell| mode is its exact conjugate."""
     if run.oam_is_zero:
         return lg_mode(grid, 0, params.beam_waist, params.wavelength, box)
     state = run.final_state
     assert state is not None
-    m = state.oam_magnitude
+    plus = lg_mode(grid, state.oam_magnitude, params.beam_waist, params.wavelength, box).samples
     terms = (
-        weight * lg_mode(grid, sign * m, params.beam_waist, params.wavelength, box).samples
+        weight * (plus if sign > 0 else plus.conj())
         for sign, weight in zip((+1, -1), _oam_components(state, axis))
         if weight != 0
     )
@@ -511,48 +527,109 @@ def synthesize_field(
     return ScalarField(samples, grid, params.wavelength, box)
 
 
+class Camera:
+    """The camera of one command: a grid and the optics, and what every
+    outcome the command renders shares.  Make one per command; nothing it
+    holds outlives it.
+
+    Each aperture's box and mask are built once.  The +|ell| vortex behind
+    an aperture is rendered once, onto the window ``render_image`` proves,
+    and an outcome that carries the -|ell| mode alone is read from that
+    window's point reflection.  The reflection reads out exactly: the mask
+    is real and lg_mode(-ell) is the exact conjugate of lg_mode(ell), so
+    F_-(k) = conj(F_+(-k)).  The one row and column it wraps (k = -m/2)
+    lie at |k| = m/2, which the tail bound puts below the peak threshold in
+    both images; the whole frame (m = n) is periodic and wraps exactly.
+    A superposition is rendered on its own."""
+
+    def __init__(self, grid: Grid, params: OpticalParams):
+        self.grid = grid
+        self.params = params
+        self._masks: dict[ApertureSpec, tuple[Box, np.ndarray]] = {}
+        self._windows: dict[tuple[ApertureSpec, int], tuple[np.ndarray, Grid]] = {}
+
+    def _mask(self, aperture: ApertureSpec) -> tuple[Box, np.ndarray]:
+        """The aperture's box and its mask there."""
+        if aperture not in self._masks:
+            box = aperture_box(self.grid, aperture)  # refuses an aperture that does not fit
+            self._masks[aperture] = box, aperture_mask(self.grid, aperture, box)
+        return self._masks[aperture]
+
+    def _field(
+        self, logical: LogicalRun, axis: PolarizationAxis, aperture: ApertureSpec | None
+    ) -> ScalarField:
+        """An outcome's field, through the aperture's mask when there is one."""
+        if aperture is None:
+            return synthesize_field(logical, axis, self.grid, self.params)
+        box, mask = self._mask(aperture)
+        return apply_mask(synthesize_field(logical, axis, self.grid, self.params, box), mask)
+
+    def _window(self, aperture: ApertureSpec, charge: int) -> tuple[np.ndarray, Grid]:
+        """Camera window and its grid for a single vortex mode behind the aperture."""
+        key = aperture, abs(charge)
+        if key not in self._windows:
+            box, mask = self._mask(aperture)
+            p = self.params
+            # no name holds the unmasked mode, so it is freed before the lens runs
+            field = apply_mask(
+                lg_mode(self.grid, abs(charge), p.beam_waist, p.wavelength, box), mask
+            )
+            self._windows[key] = render_image(field, p.focal_length)
+        img, far_grid = self._windows[key]
+        return (point_reflect(img) if charge < 0 else img), far_grid
+
+    def run(self, circuit: Circuit, *, full_frame: bool = False) -> WaveRun:
+        """Each polarization outcome at the camera, rendered only when it
+        is read out (the circuit has TRIAPERTURE and DETECT) or written
+        (``full_frame``).  Behind an aperture only its box is synthesized.
+        A readout is always read from a camera window that
+        ``render_image`` proves holds every spot; the whole frame is
+        rendered only to be written.  An outcome left unrendered is
+        refused as a rendered one would be: the aperture must fit, then
+        ``check_mode`` judges the source's charge and the waist.  A blocked
+        beam builds no box and no mask.  A ReadoutError is raised only for
+        an outcome with an expected charge."""
+        aperture_stmt = circuit.first_of(TriangleAperture)
+        aperture = None if aperture_stmt is None else aperture_stmt.spec
+        reads_out = aperture is not None and circuit.first_of(Detect) is not None
+        logical = run_logical(circuit)
+        grid, params = self.grid, self.params
+        outcomes = []
+        for axis, probability in outcome_axes(logical):
+            if not (reads_out or full_frame):
+                if aperture is not None:
+                    aperture_box(grid, aperture)  # refuses an aperture that does not fit
+                check_mode(grid, circuit.statements[0].oam, params.beam_waist)
+                outcomes.append(WaveOutcome(axis, probability, None, None))
+                continue
+            charge = _vortex_charge(logical, axis)
+            field = None
+            readout = None
+            if reads_out:
+                if charge is None:
+                    field = self._field(logical, axis, aperture)
+                    img, far_grid = render_image(field, params.focal_length)
+                else:
+                    img, far_grid = self._window(aperture, charge)
+                try:
+                    readout = classify_oam(img, aperture, far_grid, params)
+                except ReadoutError as exc:
+                    if expected_charge(logical, axis) is not None:
+                        raise
+                    # the traceback would keep the classifier's arrays alive
+                    readout = exc.with_traceback(None)
+            frame = None
+            if full_frame:
+                if field is None:
+                    field = self._field(logical, axis, aperture)
+                frame = intensity(far_field(field, params.focal_length))
+            outcomes.append(WaveOutcome(axis, probability, frame, readout))
+        return WaveRun(logical, tuple(outcomes))
+
+
 def run_wave(
     circuit: Circuit, grid: Grid, params: OpticalParams, *, full_frame: bool = False
 ) -> WaveRun:
-    """Each polarization outcome at the camera, rendered only when it is
-    read out (the circuit has TRIAPERTURE and DETECT) or written
-    (``full_frame``).  Behind an aperture only its box is synthesized, and
-    each outcome is masked once.  A readout is always read from the camera
-    window that ``render_image`` proves holds every spot; the whole frame
-    is rendered only to be written.  An outcome left unrendered is refused
-    as a rendered one would be: the aperture must fit, then ``check_mode``
-    judges the source's charge and the waist.  The box and mask come with
-    the first outcome, so a blocked beam builds neither.  A ReadoutError
-    is raised only for an outcome with an expected charge."""
-    aperture_stmt = circuit.first_of(TriangleAperture)
-    aperture = None if aperture_stmt is None else aperture_stmt.spec
-    reads_out = aperture is not None and circuit.first_of(Detect) is not None
-    logical = run_logical(circuit)
-    box = FULL if aperture is None else None
-    mask = None
-    outcomes = []
-    for axis, probability in outcome_axes(logical):
-        if box is None:
-            box = aperture_box(grid, aperture)  # refuses an aperture that does not fit
-        if not (reads_out or full_frame):
-            check_mode(grid, circuit.statements[0].oam, params.beam_waist)
-            outcomes.append(WaveOutcome(axis, probability, None, None))
-            continue
-        if aperture is not None and mask is None:
-            mask = aperture_mask(grid, aperture, box)
-        field = synthesize_field(logical, axis, grid, params, box)
-        if mask is not None:
-            field = apply_mask(field, mask)
-        readout = None
-        if reads_out:
-            img, far_grid = render_image(field, params.focal_length)
-            try:
-                readout = classify_oam(img, aperture, far_grid, params)
-            except ReadoutError as exc:
-                if expected_charge(logical, axis) is not None:
-                    raise
-                # the traceback would keep the classifier's arrays alive
-                readout = exc.with_traceback(None)
-        frame = intensity(far_field(field, params.focal_length)) if full_frame else None
-        outcomes.append(WaveOutcome(axis, probability, frame, readout))
-    return WaveRun(logical, tuple(outcomes))
+    """``Camera.run`` on a camera of its own: nothing is shared with
+    another call."""
+    return Camera(grid, params).run(circuit, full_frame=full_frame)

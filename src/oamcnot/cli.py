@@ -51,7 +51,24 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.mode not in MODE_LABELS:
             raise ValueError(f"mode must be one of {MODE_LABELS}, got {self.mode!r}")
-        object.__setattr__(self, "grid", Grid(self.grid_n, self.window_mm * 1e-3))
+        grid = Grid(self.grid_n, self.window_mm * 1e-3)
+        params = self.optical_params
+        # The lens scale pitch^2 / (wavelength f) lies between pitch^2 and
+        # (n window / (wavelength f))^2, and that ceiling bounds every
+        # far-field value and the window tail bound.  A window that takes
+        # either end out of the normal floats is refused here, not met as
+        # an overflow or a blank image.
+        ceiling = grid.n * grid.window / (params.wavelength * params.focal_length)
+        for name, value in (
+            ("pitch^2", grid.pitch * grid.pitch),
+            ("camera ceiling (n window / (wavelength f))^2", ceiling * ceiling),
+        ):
+            if not sys.float_info.min <= value <= sys.float_info.max:
+                raise ValueError(
+                    f"window_mm {self.window_mm:g} at grid_n {self.grid_n} gives a "
+                    f"{name} of {value:g}, outside the finite normal floats"
+                )
+        object.__setattr__(self, "grid", grid)
 
     @property
     def optical_params(self) -> OpticalParams:
@@ -178,13 +195,11 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
 
     rows_ok = 0
     errors: list[str] = []
+    camera = dsl.Camera(config.grid, config.optical_params)
     for pol, ell in TRUTH_TABLE_INPUTS:
         expected = _expected_truth_output(pol, ell, config.mode)
         try:
-            wave = dsl.run_wave(
-                _row_circuit(pol, ell, config), config.grid, config.optical_params,
-                full_frame=config.out is not None,
-            )
+            wave = camera.run(_row_circuit(pol, ell, config), full_frame=config.out is not None)
             (outcome,) = wave.outcomes
             exp_amps = basis_state(
                 0 if expected[0] == "H" else 1, 0 if expected[1] > 0 else 1, abs(ell)
@@ -327,12 +342,13 @@ def cmd_readout_sweep(ell_min: int, ell_max: int, config: RunConfig, stream) -> 
     lines = [*_header("readout-sweep", config), f"ell_min={ell_min}", f"ell_max={ell_max}"]
     csv = ["ell,spots_per_side,sign,magnitude,orientation_score,correct,note"]
     all_correct = True
+    camera = dsl.Camera(config.grid, config.optical_params)
     for ell in range(ell_min, ell_max + 1):
         circ = dsl.Circuit(
             (dsl.Source("H", ell), dsl.TriangleAperture(config.side_mm), dsl.Detect())
         )
         try:
-            wave = dsl.run_wave(circ, config.grid, config.optical_params)
+            wave = camera.run(circ)
         except (ReadoutError, ValueError) as exc:
             note = str(exc).replace(",", ";")
             csv.append(f"{ell},,,,,no,{note}")

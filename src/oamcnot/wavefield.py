@@ -170,7 +170,8 @@ def lg_mode(
 
 def _rim(grid: Grid, aperture: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
     """x and y of the aperture's triangle vertices, or the x and y
-    extremes of its circle; refused if the shape does not fit the window."""
+    extremes of its circle; refused if the shape does not fit the window,
+    or if it is narrower than 4 pitches, as ``check_mode`` refuses a waist."""
     if aperture.shape == CIRCLE:
         radius, name = aperture.size / 2.0, "circle diameter"
     else:
@@ -178,6 +179,11 @@ def _rim(grid: Grid, aperture: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
     if radius >= grid.window / 2.0:
         raise ValueError(
             f"{name} {aperture.size:g} m does not fit in the {grid.window:g} m window"
+        )
+    if aperture.size < 4 * grid.pitch:
+        raise ValueError(
+            f"{name} {aperture.size:g} m is narrower than 4 grid pitches "
+            f"({4 * grid.pitch:g} m)"
         )
     if aperture.shape == CIRCLE:
         return np.array([-radius, radius]), np.array([-radius, radius])

@@ -6,7 +6,9 @@ bound needs to prove that every pixel outside it is below the peak
 threshold.  These tests check the pieces (box, mask, mode, matrix DFT),
 the bound itself, and that a window reads out exactly as the full frame.
 "The full frame" is always the zero-padded FFT of ``conftest``, never the
-lens under test.
+lens under test.  A command's ``Camera`` reads a -|ell| outcome from the
+point reflection of the +|ell| window; the last tests check that it reads
+what the one-shot readout reads.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import fft_far_field
+from oamcnot import circuit
+from oamcnot.circuit import Camera, Circuit, Detect, Source, TriangleAperture, parse
 from oamcnot.cli import main
 from oamcnot.readout import (
+    THRESHOLD_FRAC,
     ReadoutError,
     classify_oam,
     find_peaks,
@@ -42,6 +47,7 @@ from oamcnot.wavefield import (
     far_field,
     intensity,
     lg_mode,
+    point_reflect,
     power,
     window_tail_bound,
 )
@@ -240,3 +246,132 @@ def test_a_readout_builds_no_full_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([256, 512]),
+    side_mm=st.floats(1.0, 4.0),
+    waist_mm=st.floats(0.4, 0.6),
+    degrees=st.floats(0.0, 120.0, exclude_max=True),
+    ell=st.integers(0, 10),
+)
+@example(n=1024, side_mm=2.0, waist_mm=0.5, degrees=0.0, ell=1)
+@example(n=1024, side_mm=2.0, waist_mm=0.5, degrees=71.3, ell=8)
+@example(n=1024, side_mm=1.0, waist_mm=0.5, degrees=20.0, ell=10)
+@example(n=256, side_mm=1.0, waist_mm=0.4, degrees=15.0, ell=10)
+def test_an_accepted_window_has_its_wrapped_edge_below_threshold(
+    n, side_mm, waist_mm, degrees, ell
+):
+    # The point reflection of a window maps row and column 0 (k = -m/2)
+    # onto themselves, so they are the one edge where the reflected +|ell|
+    # window and the -|ell| window differ.  Every narrower window that
+    # render_image accepts holds no peak candidate there, and off that
+    # edge the two agree to rounding.  The whole frame (m = n) is periodic:
+    # its reflection wraps exactly.
+    grid = Grid(n, 8e-3)
+    params = OpticalParams(beam_waist=waist_mm * 1e-3)
+    aperture = ApertureSpec(TRIANGLE, side_mm * 1e-3, math.radians(degrees))
+    plus, far_grid = render_image(masked_box_field(grid, ell, aperture, params), F)
+    minus, minus_grid = render_image(masked_box_field(grid, -ell, aperture, params), F)
+    assert minus_grid == far_grid
+    top = float(plus.max())
+    if far_grid.n < n:
+        for img in (plus, minus):
+            assert img[0].max() < THRESHOLD_FRAC * img.max()
+            assert img[:, 0].max() < THRESHOLD_FRAC * img.max()
+        off_edge = (slice(1, None), slice(1, None))
+    else:
+        off_edge = (slice(None), slice(None))
+    assert np.abs(point_reflect(plus)[off_edge] - minus[off_edge]).max() < 1e-12 * top
+
+
+def reading(fn):
+    """A readout's signed charge and its orientation score to 9 decimals, as
+    reports print it, or its error's type and message."""
+    try:
+        result = fn()
+    except (ReadoutError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return result.topological_charge, f"{result.orientation_score:.9f}"
+
+
+def counting_modes(monkeypatch):
+    calls = []
+    real = circuit.lg_mode
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circuit, "lg_mode", wrapper)
+    return calls
+
+
+#: 15 + 30k degrees, where a mirror symmetry makes spots tie, and orientations away from it.
+ON_TIES = (15.0, 45.0, 105.0)
+OFF_TIES = (0.0, 37.0, 71.3, 118.2)
+
+
+@pytest.mark.parametrize(
+    "n, ell, degrees",
+    [
+        *((256, ell, degrees) for ell in range(1, 9) for degrees in OFF_TIES + ON_TIES),
+        (1024, 1, 0.0),
+        (1024, 2, 15.0),
+        (1024, 5, 37.0),
+        (1024, 8, 71.3),
+    ],
+)
+def test_camera_reads_the_reflected_window_as_the_one_shot_readout(
+    monkeypatch, n, ell, degrees, params
+):
+    grid = Grid(n, 8e-3)
+    aperture = TriangleAperture(2.0, degrees)
+    camera = Camera(grid, params)
+    modes = counting_modes(monkeypatch)
+    for charge in (ell, -ell):
+        source = Circuit((Source("H", charge), aperture, Detect()))
+        got = reading(lambda: camera.run(source).outcomes[0].readout)
+        assert got == reading(lambda: readout_roundtrip(charge, params, grid, aperture.spec))
+    # -ell was read from the reflection of the +ell window
+    assert modes == [ell]
+
+
+@pytest.mark.parametrize(
+    "n, ell, degrees, angle",
+    # the H and V outcomes read +ell and -ell, but for the refused third case
+    [(256, 1, 0.0, 5.0), (256, 2, 37.0, 3.0), (256, 3, 15.0, 10.0), (1024, 1, 0.0, 5.0)],
+)
+def test_camera_renders_a_superposition_from_both_modes(n, ell, degrees, angle, params):
+    # An HWP after the CNOT leaves each polarization outcome with both
+    # OAM signs.  The camera has rendered the pure +ell window first, and
+    # must not read the superposition from it.
+    grid = Grid(n, 8e-3)
+    aperture = TriangleAperture(2.0, degrees)
+    camera = Camera(grid, params)
+    pure = camera.run(Circuit((Source("H", ell), aperture, Detect())))
+    assert pure.outcomes[0].readout.topological_charge == ell
+    text = (
+        f"SOURCE pol=D oam={ell}\nMZI_CNOT\nHWP angle={angle}\n"
+        f"TRIAPERTURE side=2 orientation={degrees}\nDETECT"
+    )
+    wave = camera.run(parse(text))
+    assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
+    box = aperture_box(grid, aperture.spec)
+    mask = aperture_mask(grid, aperture.spec, box)
+    plus, minus = (
+        lg_mode(grid, sign * ell, params.beam_waist, params.wavelength, box).samples
+        for sign in (1, -1)
+    )
+    for wave_outcome in wave.outcomes:
+        w_plus, w_minus = circuit._oam_components(wave.logical.final_state, wave_outcome.axis)
+        assert w_plus != 0 and w_minus != 0
+        field = ScalarField(w_plus * plus + w_minus * minus, grid, params.wavelength, box)
+        img, far_grid = render_image(apply_mask(field, mask), F)
+        want = outcome(lambda: classify_oam(img, aperture.spec, far_grid, params))
+        got = wave_outcome.readout
+        if isinstance(got, ReadoutError):
+            assert f"{type(got).__name__}: {got}" == want
+        else:
+            assert repr(got) == want

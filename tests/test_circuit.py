@@ -477,10 +477,18 @@ class TestSynthesizeField:
         run = run_logical(parse("SOURCE pol=D oam=1\nMZI_CNOT\nHWP angle=22.5"))
         axes = [axis for axis, _ in outcome_axes(run)]
         assert len(axes) == 2
+        plus, minus = (
+            lg_mode(fast_grid, ell, params.beam_waist, params.wavelength).samples
+            for ell in (1, -1)
+        )
         for axis in axes:
             calls = counting(monkeypatch, "lg_mode")
-            synthesize_field(run, axis, fast_grid, params)
-            assert [args[1] for args in calls] == [1, -1]
+            field = synthesize_field(run, axis, fast_grid, params)
+            # -1 is the exact conjugate of the one mode built
+            assert [args[1] for args in calls] == [1]
+            w_plus, w_minus = circuit._oam_components(run.final_state, axis)
+            assert w_plus != 0 and w_minus != 0
+            assert np.array_equal(field.samples, w_plus * plus + w_minus * minus)
 
 
 class TestRunWaveMask:

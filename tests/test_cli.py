@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oamcnot import circuit, readout, wavefield
 from oamcnot.circuit import format_circuit
 from oamcnot.cli import (
     COMMAND_FIELDS,
@@ -353,6 +354,90 @@ class TestExitCodes:
         )
         assert code == EXIT_IO
         assert "io error" in report
+
+    def test_window_whose_numbers_overflow_is_a_config_error(self):
+        # pitch^2 overflows a float; refused before lg_mode can raise OverflowError
+        code, report = run_cli(
+            ["truth-table", *FAST, "--window-mm", "1e160", "--waist-mm", "1e159"]
+        )
+        assert code == EXIT_PARSE
+        assert report == (
+            "config error: window_mm 1e+160 at grid_n 256 gives a pitch^2 of inf, "
+            "outside the finite normal floats\n"
+        )
+
+    @pytest.mark.parametrize(
+        "window_mm, name",
+        [
+            ("1e-150", "pitch^2"),  # underflows to a subnormal
+            ("8.5e147", "camera ceiling"),  # the largest camera value overflows
+        ],
+    )
+    def test_window_at_the_ends_of_the_floats_is_a_config_error(self, window_mm, name):
+        waist_mm = str(float(window_mm) / 10)
+        code, report = run_cli(
+            ["truth-table", *FAST, "--window-mm", window_mm, "--waist-mm", waist_mm]
+        )
+        assert code == EXIT_PARSE
+        assert report.startswith(f"config error: window_mm {float(window_mm):g} ")
+        assert f" gives a {name}" in report
+
+    def test_aperture_narrower_than_four_pitches_is_refused(self):
+        # a 2 mm side on a 3.9e94 m pitch transmits at most one pixel
+        code, report = run_cli(
+            ["truth-table", *FAST, "--window-mm", "1e100", "--waist-mm", "1e99"]
+        )
+        assert code == EXIT_MISMATCH
+        refusals = [ln for ln in report.splitlines() if ln.startswith("row_error=")]
+        assert len(refusals) == 4
+        for line in refusals:
+            assert line.endswith(
+                ": triangle side 0.002 m is narrower than 4 grid pitches (1.5625e+95 m)"
+            )
+
+    def test_largest_window_below_the_ceiling_reads_out(self):
+        code, report = run_cli(
+            ["truth-table", *FAST, "--window-mm", "8e147", "--waist-mm", "8e146",
+             "--side-mm", "2e147"]
+        )
+        assert code == EXIT_OK
+        assert "rows_ok=4/4" in report
+
+
+def counting_everywhere(monkeypatch, name):
+    """Wrap the wavefield/readout function ``name`` at every binding in the
+    package's modules, so that every call is recorded."""
+    calls = []
+    real = getattr(wavefield, name, None) or getattr(readout, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (wavefield, readout, circuit):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestOneCameraPerCommand:
+    """A command's outcomes share one camera, and nothing outlives the command."""
+
+    def test_truth_table_builds_one_mask_and_one_transform(self, monkeypatch):
+        masks = counting_everywhere(monkeypatch, "aperture_mask")
+        lenses = counting_everywhere(monkeypatch, "far_field")
+        assert run_cli(["truth-table", *FAST])[0] == EXIT_OK
+        assert (len(masks), len(lenses)) == (1, 1)
+        assert run_cli(["truth-table", *FAST, "--mode", "strict-parity"])[0] == EXIT_OK
+        assert (len(masks), len(lenses)) == (2, 2)
+
+    def test_readout_sweep_renders_one_window_per_magnitude(self, monkeypatch):
+        modes = counting_everywhere(monkeypatch, "lg_mode")
+        windows = counting_everywhere(monkeypatch, "render_image")
+        code, _ = run_cli(["readout-sweep", "--ell-min", "-3", "--ell-max", "3", *FAST])
+        assert code == EXIT_OK
+        assert [args[1] for args in modes] == [3, 2, 1, 0]
+        assert len(windows) == 4
 
 
 FIELDS = [f.name for f in fields(RunConfig)]
