@@ -1,6 +1,6 @@
 """Line-oriented text format for optical circuits, plus interpreters that
-run a parsed circuit on the logical layer (state-vector gates) and the
-wave layer (field synthesis, aperture, far field, readout).
+run a parsed circuit on the logical layer (state-vector gates) and on a
+``readout.Camera`` (the wave layer: aperture, far field, readout).
 
 Grammar: one statement per line, ``#`` starts a comment, keywords are
 case-insensitive.
@@ -35,24 +35,8 @@ from .hybrid import (
     project_polarization,
 )
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, compose_mzi
-from .readout import ReadoutError, ReadoutResult, classify_oam, render_image
-from .wavefield import (
-    FULL,
-    ApertureSpec,
-    Box,
-    Grid,
-    OpticalParams,
-    ScalarField,
-    TRIANGLE,
-    aperture_box,
-    aperture_mask,
-    apply_mask,
-    check_mode,
-    far_field,
-    intensity,
-    lg_mode,
-    point_reflect,
-)
+from .readout import Camera, ReadoutError, ReadoutResult, classify_oam
+from .wavefield import TRIANGLE, ApertureSpec
 
 _POL_LABELS = ("H", "V", "D", "A")
 _AXIS_BY_LABEL = {
@@ -425,7 +409,7 @@ def run_logical(circuit: Circuit) -> LogicalRun:
 @dataclass(frozen=True)
 class WaveOutcome:
     """One polarization outcome at the camera.  ``intensity_map`` is the
-    whole camera frame when the outcome is written, else None.
+    whole camera frame, read-only, when the outcome is written, else None.
     ``readout`` is None unless the circuit has TRIAPERTURE and DETECT, and
     the ReadoutError of an OAM superposition the classifier cannot read."""
 
@@ -486,150 +470,44 @@ def outcome_axes(run: LogicalRun) -> list[tuple[PolarizationAxis, float]]:
     return axes
 
 
-def _vortex_charge(run: LogicalRun, axis: PolarizationAxis) -> int | None:
-    """Signed charge of the one vortex mode a polarization outcome carries
-    (0 for a zero-charge source), or None when it carries both.  A mode
-    whose weight is exactly zero is not carried, as in ``synthesize_field``."""
-    if run.oam_is_zero:
-        return 0
-    plus, minus = _oam_components(run.final_state, axis)
-    if minus == 0:
-        return run.final_state.oam_magnitude
-    if plus == 0:
-        return -run.final_state.oam_magnitude
-    return None
-
-
-def synthesize_field(
-    run: LogicalRun,
-    axis: PolarizationAxis,
-    grid: Grid,
-    params: OpticalParams,
-    box: Box = FULL,
-) -> ScalarField:
-    """Transverse field on ``box`` of the OAM component carried by a
-    polarization outcome: a superposition of the +|ell| and -|ell| vortex
-    modes.  A mode whose weight is exactly zero is left out.  Only the
-    +|ell| mode is built; the -|ell| mode is its exact conjugate."""
-    if run.oam_is_zero:
-        return lg_mode(grid, 0, params.beam_waist, params.wavelength, box)
-    state = run.final_state
-    assert state is not None
-    plus = lg_mode(grid, state.oam_magnitude, params.beam_waist, params.wavelength, box).samples
-    terms = (
-        weight * (plus if sign > 0 else plus.conj())
-        for sign, weight in zip((+1, -1), _oam_components(state, axis))
-        if weight != 0
-    )
-    samples = next(terms)
-    for term in terms:
-        samples += term
-    return ScalarField(samples, grid, params.wavelength, box)
-
-
-class Camera:
-    """The camera of one command: a grid and the optics, and what every
-    outcome the command renders shares.  Make one per command; nothing it
-    holds outlives it.
-
-    Each aperture's box and mask are built once.  The +|ell| vortex behind
-    an aperture is rendered once, onto the window ``render_image`` proves,
-    and an outcome that carries the -|ell| mode alone is read from that
-    window's point reflection.  The reflection reads out exactly: the mask
-    is real and lg_mode(-ell) is the exact conjugate of lg_mode(ell), so
-    F_-(k) = conj(F_+(-k)).  The one row and column it wraps (k = -m/2)
-    lie at |k| = m/2, which the tail bound puts below the peak threshold in
-    both images; the whole frame (m = n) is periodic and wraps exactly.
-    A superposition is rendered on its own."""
-
-    def __init__(self, grid: Grid, params: OpticalParams):
-        self.grid = grid
-        self.params = params
-        self._masks: dict[ApertureSpec, tuple[Box, np.ndarray]] = {}
-        self._windows: dict[tuple[ApertureSpec, int], tuple[np.ndarray, Grid]] = {}
-
-    def _mask(self, aperture: ApertureSpec) -> tuple[Box, np.ndarray]:
-        """The aperture's box and its mask there."""
-        if aperture not in self._masks:
-            box = aperture_box(self.grid, aperture)  # refuses an aperture that does not fit
-            self._masks[aperture] = box, aperture_mask(self.grid, aperture, box)
-        return self._masks[aperture]
-
-    def _field(
-        self, logical: LogicalRun, axis: PolarizationAxis, aperture: ApertureSpec | None
-    ) -> ScalarField:
-        """An outcome's field, through the aperture's mask when there is one."""
-        if aperture is None:
-            return synthesize_field(logical, axis, self.grid, self.params)
-        box, mask = self._mask(aperture)
-        return apply_mask(synthesize_field(logical, axis, self.grid, self.params, box), mask)
-
-    def _window(self, aperture: ApertureSpec, charge: int) -> tuple[np.ndarray, Grid]:
-        """Camera window and its grid for a single vortex mode behind the aperture."""
-        key = aperture, abs(charge)
-        if key not in self._windows:
-            box, mask = self._mask(aperture)
-            p = self.params
-            # no name holds the unmasked mode, so it is freed before the lens runs
-            field = apply_mask(
-                lg_mode(self.grid, abs(charge), p.beam_waist, p.wavelength, box), mask
-            )
-            self._windows[key] = render_image(field, p.focal_length)
-        img, far_grid = self._windows[key]
-        return (point_reflect(img) if charge < 0 else img), far_grid
-
-    def run(self, circuit: Circuit, *, full_frame: bool = False) -> WaveRun:
-        """Each polarization outcome at the camera, rendered only when it
-        is read out (the circuit has TRIAPERTURE and DETECT) or written
-        (``full_frame``).  Behind an aperture only its box is synthesized.
-        A readout is always read from a camera window that
-        ``render_image`` proves holds every spot; the whole frame is
-        rendered only to be written.  An outcome left unrendered is
-        refused as a rendered one would be: the aperture must fit, then
-        ``check_mode`` judges the source's charge and the waist.  A blocked
-        beam builds no box and no mask.  A ReadoutError is raised only for
-        an outcome with an expected charge."""
-        aperture_stmt = circuit.first_of(TriangleAperture)
-        aperture = None if aperture_stmt is None else aperture_stmt.spec
-        reads_out = aperture is not None and circuit.first_of(Detect) is not None
-        logical = run_logical(circuit)
-        grid, params = self.grid, self.params
-        outcomes = []
-        for axis, probability in outcome_axes(logical):
-            if not (reads_out or full_frame):
-                if aperture is not None:
-                    aperture_box(grid, aperture)  # refuses an aperture that does not fit
-                check_mode(grid, circuit.statements[0].oam, params.beam_waist)
-                outcomes.append(WaveOutcome(axis, probability, None, None))
-                continue
-            charge = _vortex_charge(logical, axis)
-            field = None
-            readout = None
-            if reads_out:
-                if charge is None:
-                    field = self._field(logical, axis, aperture)
-                    img, far_grid = render_image(field, params.focal_length)
-                else:
-                    img, far_grid = self._window(aperture, charge)
-                try:
-                    readout = classify_oam(img, aperture, far_grid, params)
-                except ReadoutError as exc:
-                    if expected_charge(logical, axis) is not None:
-                        raise
-                    # the traceback would keep the classifier's arrays alive
-                    readout = exc.with_traceback(None)
-            frame = None
-            if full_frame:
-                if field is None:
-                    field = self._field(logical, axis, aperture)
-                frame = intensity(far_field(field, params.focal_length))
-            outcomes.append(WaveOutcome(axis, probability, frame, readout))
-        return WaveRun(logical, tuple(outcomes))
-
-
-def run_wave(
-    circuit: Circuit, grid: Grid, params: OpticalParams, *, full_frame: bool = False
-) -> WaveRun:
-    """``Camera.run`` on a camera of its own: nothing is shared with
-    another call."""
-    return Camera(grid, params).run(circuit, full_frame=full_frame)
+def run_wave(circuit: Circuit, camera: Camera, *, full_frame: bool = False) -> WaveRun:
+    """Each polarization outcome at the camera, rendered only when it is
+    read out (the circuit has TRIAPERTURE and DETECT) or written
+    (``full_frame``: the whole frame).  A readout is always read from the
+    camera window, never from the frame.  An outcome left unrendered is
+    refused as a rendered one would be, by the camera's refusal step
+    alone; a blocked beam is not refused.  An outcome that carries one
+    vortex mode is that mode's image; one that carries both is their
+    superposition.  A mode whose weight is exactly zero is not carried.
+    A ReadoutError is raised only for an outcome with an expected charge."""
+    aperture_stmt = circuit.first_of(TriangleAperture)
+    aperture = None if aperture_stmt is None else aperture_stmt.spec
+    reads_out = aperture is not None and circuit.first_of(Detect) is not None
+    logical = run_logical(circuit)
+    magnitude = abs(circuit.statements[0].oam)
+    outcomes = []
+    for axis, probability in outcome_axes(logical):
+        if not (reads_out or full_frame):
+            camera.refuse(aperture, magnitude)
+            outcomes.append(WaveOutcome(axis, probability, None, None))
+            continue
+        charge, weights = magnitude, None
+        if not logical.oam_is_zero:
+            plus, minus = _oam_components(logical.final_state, axis)
+            if plus == 0:
+                charge = -magnitude
+            elif minus != 0:
+                weights = plus, minus
+        readout = None
+        if reads_out:
+            img, far_grid = camera.image(aperture, charge, weights)
+            try:
+                readout = classify_oam(img, aperture, far_grid, camera.params)
+            except ReadoutError as exc:
+                if expected_charge(logical, axis) is not None:
+                    raise
+                # the traceback would keep the classifier's arrays alive
+                readout = exc.with_traceback(None)
+        frame = camera.image(aperture, charge, weights, frame=True)[0] if full_frame else None
+        outcomes.append(WaveOutcome(axis, probability, frame, readout))
+    return WaveRun(logical, tuple(outcomes))

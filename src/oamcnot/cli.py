@@ -19,7 +19,7 @@ import numpy as np
 from . import circuit as dsl
 from .hybrid import basis_state, bell_state, concurrence, fidelity
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, STRICT_PARITY
-from .readout import ReadoutError
+from .readout import Camera, ReadoutError
 from .wavefield import MAX_CHARGE, Grid, OpticalParams
 
 EXIT_OK = 0
@@ -51,24 +51,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.mode not in MODE_LABELS:
             raise ValueError(f"mode must be one of {MODE_LABELS}, got {self.mode!r}")
-        grid = Grid(self.grid_n, self.window_mm * 1e-3)
-        params = self.optical_params
-        # The lens scale pitch^2 / (wavelength f) lies between pitch^2 and
-        # (n window / (wavelength f))^2, and that ceiling bounds every
-        # far-field value and the window tail bound.  A window that takes
-        # either end out of the normal floats is refused here, not met as
-        # an overflow or a blank image.
-        ceiling = grid.n * grid.window / (params.wavelength * params.focal_length)
-        for name, value in (
-            ("pitch^2", grid.pitch * grid.pitch),
-            ("camera ceiling (n window / (wavelength f))^2", ceiling * ceiling),
-        ):
-            if not sys.float_info.min <= value <= sys.float_info.max:
-                raise ValueError(
-                    f"window_mm {self.window_mm:g} at grid_n {self.grid_n} gives a "
-                    f"{name} of {value:g}, outside the finite normal floats"
-                )
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", Grid(self.grid_n, self.window_mm * 1e-3))
 
     @property
     def optical_params(self) -> OpticalParams:
@@ -184,7 +167,7 @@ def _row_circuit(pol: str, ell: int, config: RunConfig) -> dsl.Circuit:
     )
 
 
-def cmd_truth_table(config: RunConfig, stream) -> int:
+def cmd_truth_table(config: RunConfig, camera: Camera, stream) -> int:
     _ensure_out(config)
     lines = _header("truth-table", config)
     lines.append(
@@ -195,11 +178,11 @@ def cmd_truth_table(config: RunConfig, stream) -> int:
 
     rows_ok = 0
     errors: list[str] = []
-    camera = dsl.Camera(config.grid, config.optical_params)
     for pol, ell in TRUTH_TABLE_INPUTS:
         expected = _expected_truth_output(pol, ell, config.mode)
         try:
-            wave = camera.run(_row_circuit(pol, ell, config), full_frame=config.out is not None)
+            circuit = _row_circuit(pol, ell, config)
+            wave = dsl.run_wave(circuit, camera, full_frame=config.out is not None)
             (outcome,) = wave.outcomes
             exp_amps = basis_state(
                 0 if expected[0] == "H" else 1, 0 if expected[1] > 0 else 1, abs(ell)
@@ -266,7 +249,7 @@ def _read_circuit(path: str) -> dsl.Circuit:
     return dsl.parse(text)
 
 
-def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
+def cmd_simulate(circuit_path: str, config: RunConfig, camera: Camera, stream) -> int:
     try:
         circ = _read_circuit(circuit_path)
     except OSError as exc:
@@ -284,9 +267,7 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
     lines += (f"stmt={stmt_line}" for stmt_line in dsl.format_circuit(circ).splitlines())
 
     try:
-        wave = dsl.run_wave(
-            circ, config.grid, config.optical_params, full_frame=config.out is not None
-        )
+        wave = dsl.run_wave(circ, camera, full_frame=config.out is not None)
         logical, outcomes, wave_error = wave.logical, wave.outcomes, None
     except (ReadoutError, ValueError) as exc:
         logical, outcomes, wave_error = dsl.run_logical(circ), (), str(exc)
@@ -337,18 +318,19 @@ def cmd_simulate(circuit_path: str, config: RunConfig, stream) -> int:
     return EXIT_MISMATCH if status == "mismatch" else EXIT_OK
 
 
-def cmd_readout_sweep(ell_min: int, ell_max: int, config: RunConfig, stream) -> int:
+def cmd_readout_sweep(
+    ell_min: int, ell_max: int, config: RunConfig, camera: Camera, stream
+) -> int:
     _ensure_out(config)
     lines = [*_header("readout-sweep", config), f"ell_min={ell_min}", f"ell_max={ell_max}"]
     csv = ["ell,spots_per_side,sign,magnitude,orientation_score,correct,note"]
     all_correct = True
-    camera = dsl.Camera(config.grid, config.optical_params)
     for ell in range(ell_min, ell_max + 1):
         circ = dsl.Circuit(
             (dsl.Source("H", ell), dsl.TriangleAperture(config.side_mm), dsl.Detect())
         )
         try:
-            wave = camera.run(circ)
+            wave = dsl.run_wave(circ, camera)
         except (ReadoutError, ValueError) as exc:
             note = str(exc).replace(",", ";")
             csv.append(f"{ell},,,,,no,{note}")
@@ -411,17 +393,19 @@ def main(argv: list[str] | None = None, stream=None) -> int:
             )
     try:
         config = RunConfig(**{n: v for n, v in vars(args).items() if n in _FLAGS})
+        # the command's one camera, which refuses a window it cannot render
+        camera = Camera(config.grid, config.optical_params)
     except ValueError as exc:
         stream.write(f"config error: {exc}\n")
         return EXIT_PARSE
     try:
         if args.command == "truth-table":
-            return cmd_truth_table(config, stream)
+            return cmd_truth_table(config, camera, stream)
         if args.command == "bell":
             return cmd_bell(config, stream)
         if args.command == "simulate":
-            return cmd_simulate(args.circuit_file, config, stream)
-        return cmd_readout_sweep(args.ell_min, args.ell_max, config, stream)
+            return cmd_simulate(args.circuit_file, config, camera, stream)
+        return cmd_readout_sweep(args.ell_min, args.ell_max, config, camera, stream)
     except OSError as exc:
         stream.write(f"io error: {exc}\n")
         return EXIT_IO

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import CNOT_MATRIX, NORM_TOL, validate_amplitudes
+from .hybrid import NORM_TOL, validate_amplitudes
 
 LOWER, UPPER = 0, 1
 
@@ -136,11 +136,3 @@ def compose_mzi(mode_label: str) -> np.ndarray:
     if float(np.max(np.abs(gram - np.eye(4)))) > NORM_TOL:
         raise RoutingError("composite", float(np.max(np.abs(gram - np.eye(4)))))
     return matrix
-
-
-def verify_cnot(matrix: np.ndarray) -> float:
-    """Max elementwise deviation from the CNOT matrix, one global phase out."""
-    m = np.asarray(matrix, dtype=complex)
-    overlap = np.trace(CNOT_MATRIX.conj().T @ m)
-    phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-    return float(np.max(np.abs(m / phase - CNOT_MATRIX)))

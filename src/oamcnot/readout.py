@@ -1,10 +1,11 @@
 """Automated readout of a vortex beam's topological charge from the
 far-field pattern behind a triangular aperture.
 
-The camera path is two steps that every caller shares: ``render_image``
-(lens and intensity of a masked field, onto a centred camera window that
-provably holds every spot) and ``classify_oam`` (peaks at the fixed
-threshold and the lattice-based separation floor, then the vote).
+The camera path is ``Camera.image``, the one way from an aperture and an
+outcome to an image (through ``render_image``: lens and intensity of a
+masked field, onto a centred camera window that provably holds every
+spot), and ``classify_oam`` (peaks at the fixed threshold and the
+lattice-based separation floor, then the vote).
 
 The pattern is a finite triangular lattice of bright spots; counting N
 spots on a side gives the magnitude |ell| = N - 1, and the lattice's
@@ -18,21 +19,26 @@ votes between those two ideal orientations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .wavefield import (
+    FULL,
     ApertureSpec,
+    Box,
     Grid,
     OpticalParams,
     ScalarField,
     aperture_box,
     aperture_mask,
     apply_mask,
+    check_mode,
     far_field,
     intensity,
     lg_mode,
+    point_reflect,
     window_tail_bound,
 )
 
@@ -303,15 +309,100 @@ def render_image(field: ScalarField, focal_length: float) -> tuple[np.ndarray, G
         m *= 2
 
 
+class Camera:
+    """The camera of one command: a grid, the optics, and every image the
+    command renders.  Make one per command; nothing it holds outlives it.
+
+    ``image`` is the only code that turns an aperture and an outcome into
+    an image.  Each aperture's mask is built once.  The +|ell| vortex
+    behind an aperture is rendered once onto the window ``render_image``
+    proves, and once onto the whole frame if that is asked for; a -|ell|
+    outcome is that image's point reflection.  The mask is real and
+    lg_mode(-ell) is the exact conjugate of lg_mode(ell), so
+    F_-(k) = conj(F_+(-k)).  The one row and column a window's reflection
+    wraps (k = -m/2) lie at |k| = m/2, which the tail bound puts below the
+    peak threshold in both images; the whole frame (m = n) is periodic and
+    wraps exactly.  A superposition is rendered on its own."""
+
+    def __init__(self, grid: Grid, params: OpticalParams):
+        # The lens scale pitch^2 / (wavelength f) lies between pitch^2 and
+        # (n window / (wavelength f))^2, and that ceiling bounds every
+        # far-field value and the window tail bound.  A window that takes
+        # either end out of the normal floats is refused here, not met as
+        # an overflow or a blank image.
+        ceiling = grid.n * grid.window / (params.wavelength * params.focal_length)
+        for name, value in (
+            ("pitch^2", grid.pitch * grid.pitch),
+            ("camera ceiling (n window / (wavelength f))^2", ceiling * ceiling),
+        ):
+            if not sys.float_info.min <= value <= sys.float_info.max:
+                raise ValueError(
+                    f"window {grid.window:g} m at grid n {grid.n} gives a {name} of "
+                    f"{value:g}, outside the finite normal floats"
+                )
+        self.grid = grid
+        self.params = params
+        self._masks: dict[ApertureSpec, np.ndarray] = {}
+        self._images: dict[tuple[ApertureSpec | None, int, bool], tuple[np.ndarray, Grid]] = {}
+
+    def refuse(self, aperture: ApertureSpec | None, ell: int) -> Box:
+        """The aperture's box (the whole grid without an aperture), after
+        refusing what the camera cannot render, in this order: an aperture
+        that does not fit, then what ``check_mode`` refuses of the charge
+        and the waist.  Builds no mask, mode or lens."""
+        box = FULL if aperture is None else aperture_box(self.grid, aperture)
+        check_mode(self.grid, ell, self.params.beam_waist)
+        return box
+
+    def image(
+        self,
+        aperture: ApertureSpec | None,
+        ell: int,
+        weights: tuple[complex, complex] | None = None,
+        *,
+        frame: bool = False,
+    ) -> tuple[np.ndarray, Grid]:
+        """Intensity of the vortex of charge ``ell`` behind ``aperture``
+        (None for none) and its far-field grid: on the window
+        ``render_image`` proves, or with ``frame`` on the whole frame.
+        With ``weights`` (w+, w-) the outcome is the superposition of the
+        +|ell| and -|ell| modes, w+ plus + w- conj(plus).  Every image it
+        returns is read-only, because outcomes of one key share theirs."""
+        key = aperture, abs(ell), frame
+        if weights is not None or key not in self._images:
+            # a key in the cache has passed the refusals, which depend on it alone
+            box = self.refuse(aperture, ell)
+            p = self.params
+            field = lg_mode(self.grid, abs(ell), p.beam_waist, p.wavelength, box)
+            if weights is not None:
+                samples = weights[0] * field.samples
+                samples += weights[1] * field.samples.conj()
+                field = ScalarField(samples, self.grid, p.wavelength, box)
+            if aperture is not None:
+                if aperture not in self._masks:
+                    self._masks[aperture] = aperture_mask(self.grid, aperture, box)
+                # no name holds the unmasked field, so it is freed before the lens runs
+                field = apply_mask(field, self._masks[aperture])
+            if frame:
+                far = far_field(field, p.focal_length)
+                rendered = intensity(far), far.grid
+            else:
+                rendered = render_image(field, p.focal_length)
+            rendered[0].setflags(write=False)
+            if weights is not None:
+                return rendered
+            self._images[key] = rendered
+        img, far_grid = self._images[key]
+        if ell < 0:
+            img = point_reflect(img)
+            img.setflags(write=False)
+        return img, far_grid
+
+
 def readout_roundtrip(
     ell: int, params: OpticalParams, grid: Grid, aperture: ApertureSpec
 ) -> ReadoutResult:
-    """Full pipeline: synthesize the vortex on the aperture's box, mask it,
-    propagate onto a camera window, classify."""
-    box = aperture_box(grid, aperture)  # refuses a bad aperture first
-    field = apply_mask(
-        lg_mode(grid, ell, params.beam_waist, params.wavelength, box),
-        aperture_mask(grid, aperture, box),
-    )
-    img, far_grid = render_image(field, params.focal_length)
+    """One charge read out on a camera of its own: the camera's image
+    behind the aperture, classified."""
+    img, far_grid = Camera(grid, params).image(aperture, ell)
     return classify_oam(img, aperture, far_grid, params)

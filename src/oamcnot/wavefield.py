@@ -51,10 +51,6 @@ class Grid:
     def coords(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.pitch
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        c = self.coords()
-        return np.meshgrid(c, c)
-
 
 @dataclass(frozen=True)
 class ApertureSpec:

@@ -1,13 +1,72 @@
 import numpy as np
 import pytest
 
-from oamcnot.hybrid import HybridState
-from oamcnot.wavefield import ApertureSpec, Grid, OpticalParams, ScalarField, TRIANGLE
+from oamcnot.hybrid import CNOT_MATRIX, HybridState
+from oamcnot.readout import ReadoutResult, classify_oam, render_image
+from oamcnot.wavefield import (
+    FULL,
+    ApertureSpec,
+    Grid,
+    OpticalParams,
+    ScalarField,
+    TRIANGLE,
+    aperture_box,
+    aperture_mask,
+    apply_mask,
+    lg_mode,
+)
 
 
 def random_hybrid_state(rng: np.random.Generator, magnitude: int = 1) -> HybridState:
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     return HybridState(amps / np.linalg.norm(amps), magnitude)
+
+
+def mesh(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of every grid sample, as ``samples[i, j]`` lives at (x[i, j], y[i, j])."""
+    c = grid.coords()
+    return np.meshgrid(c, c)
+
+
+def verify_cnot(matrix: np.ndarray) -> float:
+    """Max elementwise deviation from the CNOT matrix, one global phase out."""
+    m = np.asarray(matrix, dtype=complex)
+    overlap = np.trace(CNOT_MATRIX.conj().T @ m)
+    phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
+    return float(np.max(np.abs(m / phase - CNOT_MATRIX)))
+
+
+def direct_field(
+    grid: Grid,
+    params: OpticalParams,
+    aperture: ApertureSpec | None,
+    ell: int,
+    weights: tuple[complex, complex] | None = None,
+) -> ScalarField:
+    """The field a camera sees, built without ``readout.Camera``: the signed
+    mode ``lg_mode(ell)`` on the aperture's box (the whole grid without an
+    aperture), or w+ lg_mode(+|ell|) + w- lg_mode(-|ell|) for ``weights``
+    (w+, w-), through the aperture's mask."""
+    box = FULL if aperture is None else aperture_box(grid, aperture)
+
+    def mode(charge):
+        return lg_mode(grid, charge, params.beam_waist, params.wavelength, box).samples
+
+    if weights is None:
+        samples = mode(ell)
+    else:
+        samples = weights[0] * mode(abs(ell)) + weights[1] * mode(-abs(ell))
+    field = ScalarField(samples, grid, params.wavelength, box)
+    return field if aperture is None else apply_mask(field, aperture_mask(grid, aperture, box))
+
+
+def direct_readout(
+    ell: int, params: OpticalParams, grid: Grid, aperture: ApertureSpec
+) -> ReadoutResult:
+    """The signed mode's readout without ``readout.Camera``: ``lg_mode(ell)``
+    on the box, the mask, ``render_image`` and ``classify_oam``."""
+    img, far_grid = render_image(direct_field(grid, params, aperture, ell), params.focal_length)
+    return classify_oam(img, aperture, far_grid, params)
 
 
 def fft_far_field(field: ScalarField, focal_length: float) -> ScalarField:

@@ -24,7 +24,7 @@ from oamcnot.hybrid import (
     concurrence,
     hadamard_pol,
 )
-from oamcnot.interferometer import PAPER_DEFAULT, STRICT_PARITY, compose_mzi, verify_cnot
+from oamcnot.interferometer import PAPER_DEFAULT, STRICT_PARITY, compose_mzi
 from oamcnot.readout import find_peaks, readout_roundtrip
 from oamcnot.wavefield import (
     ApertureSpec,
@@ -42,6 +42,7 @@ from oamcnot.wavefield import (
     point_reflect,
     power,
 )
+from conftest import mesh, verify_cnot
 from test_circuit import circuits
 from test_interferometer import X_TARGET_AFTER_CNOT, oracle_matrix
 
@@ -187,7 +188,7 @@ def test_criterion_7_numerical_soundness(rng):
         mask = aperture_mask(airy_grid, circle, box)
         out = far_field(ScalarField(mask.astype(complex), airy_grid, LAM, box), F)
         img = intensity(out)
-        x, y = out.grid.mesh()
+        x, y = mesh(out.grid)
         r = np.hypot(x, y)
         idx = np.round(r / out.grid.pitch).astype(int)
         prof = np.bincount(idx.ravel(), img.ravel()) / np.maximum(
@@ -203,7 +204,7 @@ def test_criterion_7_numerical_soundness(rng):
         # the centred 128-pixel window holds the spot out to 12 waists
         out = far_field(lg_mode(DEFAULT_GRID, 0, W0, LAM), F, 128)
         img = intensity(out)
-        x, y = out.grid.mesh()
+        x, y = mesh(out.grid)
         w_measured = np.sqrt(2.0 * np.sum(img * (x**2 + y**2)) / np.sum(img))
         assert abs(w_measured - LAM * F / (np.pi * W0)) < out.grid.pitch
 

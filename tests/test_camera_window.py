@@ -6,27 +6,39 @@ bound needs to prove that every pixel outside it is below the peak
 threshold.  These tests check the pieces (box, mask, mode, matrix DFT),
 the bound itself, and that a window reads out exactly as the full frame.
 "The full frame" is always the zero-padded FFT of ``conftest``, never the
-lens under test.  A command's ``Camera`` reads a -|ell| outcome from the
-point reflection of the +|ell| window; the last tests check that it reads
-what the one-shot readout reads.
+lens under test.  A command's ``readout.Camera`` reads a -|ell| outcome
+from the point reflection of the +|ell| window; the last tests check that
+it reads what the signed mode built without the camera reads, and that a
+camera shared by many circuits renders what a fresh one renders.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import fft_far_field
-from oamcnot import circuit
-from oamcnot.circuit import Camera, Circuit, Detect, Source, TriangleAperture, parse
+from conftest import direct_readout, fft_far_field
+from oamcnot import circuit, readout
+from oamcnot.circuit import (
+    Circuit,
+    Detect,
+    Source,
+    TriangleAperture,
+    format_circuit,
+    parse,
+    run_wave,
+)
 from oamcnot.cli import main
+from oamcnot.interferometer import MODE_LABELS
 from oamcnot.readout import (
     THRESHOLD_FRAC,
+    Camera,
     ReadoutError,
     classify_oam,
     find_peaks,
@@ -298,13 +310,13 @@ def reading(fn):
 
 def counting_modes(monkeypatch):
     calls = []
-    real = circuit.lg_mode
+    real = readout.lg_mode
 
     def wrapper(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(circuit, "lg_mode", wrapper)
+    monkeypatch.setattr(readout, "lg_mode", wrapper)
     return calls
 
 
@@ -332,8 +344,8 @@ def test_camera_reads_the_reflected_window_as_the_one_shot_readout(
     modes = counting_modes(monkeypatch)
     for charge in (ell, -ell):
         source = Circuit((Source("H", charge), aperture, Detect()))
-        got = reading(lambda: camera.run(source).outcomes[0].readout)
-        assert got == reading(lambda: readout_roundtrip(charge, params, grid, aperture.spec))
+        got = reading(lambda: run_wave(source, camera).outcomes[0].readout)
+        assert got == reading(lambda: direct_readout(charge, params, grid, aperture.spec))
     # -ell was read from the reflection of the +ell window
     assert modes == [ell]
 
@@ -350,13 +362,13 @@ def test_camera_renders_a_superposition_from_both_modes(n, ell, degrees, angle, 
     grid = Grid(n, 8e-3)
     aperture = TriangleAperture(2.0, degrees)
     camera = Camera(grid, params)
-    pure = camera.run(Circuit((Source("H", ell), aperture, Detect())))
+    pure = run_wave(Circuit((Source("H", ell), aperture, Detect())), camera)
     assert pure.outcomes[0].readout.topological_charge == ell
     text = (
         f"SOURCE pol=D oam={ell}\nMZI_CNOT\nHWP angle={angle}\n"
         f"TRIAPERTURE side=2 orientation={degrees}\nDETECT"
     )
-    wave = camera.run(parse(text))
+    wave = run_wave(parse(text), camera)
     assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
     box = aperture_box(grid, aperture.spec)
     mask = aperture_mask(grid, aperture.spec, box)
@@ -375,3 +387,75 @@ def test_camera_renders_a_superposition_from_both_modes(n, ell, degrees, angle, 
             assert f"{type(got).__name__}: {got}" == want
         else:
             assert repr(got) == want
+
+
+#: (side mm, orientation degrees) of the apertures drawn, so that draws repeat
+SHARED_APERTURES = ((2.0, 0.0), (2.0, 37.0), (1.5, 0.0))
+
+
+def random_circuit(rng: random.Random) -> Circuit:
+    ell = rng.randint(-4, 4)
+    lines = [f"SOURCE pol={rng.choice('HVDA')} oam={ell}"]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("HWP", "MZI_CNOT", "POLARIZER"))
+        if kind == "HWP":
+            lines.append(f"HWP angle={rng.choice((22.5, 45, 10, 3))}")
+        elif kind == "MZI_CNOT" and ell != 0:
+            lines.append(f"MZI_CNOT mode={rng.choice(MODE_LABELS)}")
+        elif kind == "POLARIZER":
+            lines.append(f"POLARIZER {rng.choice('HV')}")
+    if rng.random() < 0.85:
+        side, degrees = rng.choice(SHARED_APERTURES)
+        lines.append(f"TRIAPERTURE side={side} orientation={degrees}")
+    if rng.random() < 0.7:
+        lines.append("DETECT")
+    return parse("\n".join(lines))
+
+
+def rendered(circ, camera, full_frame):
+    """Each outcome's axis, probability, readout repr (or error) and
+    written image bytes, or the run's error."""
+    try:
+        wave = run_wave(circ, camera, full_frame=full_frame)
+    except (ReadoutError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [
+        (
+            o.axis,
+            o.probability,
+            f"{type(o.readout).__name__}: {o.readout}"
+            if isinstance(o.readout, ReadoutError)
+            else repr(o.readout),
+            None if o.intensity_map is None else o.intensity_map.tobytes(),
+        )
+        for o in wave.outcomes
+    ]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_a_shared_camera_renders_as_a_fresh_one(seed, params):
+    # What one circuit leaves in a command's camera (a window, a frame, a
+    # mask) must not change what the next circuit reads or writes.
+    rng = random.Random(seed)
+    grid = Grid(128, 8e-3)
+    shared = Camera(grid, params)
+    for _ in range(32):
+        circ = random_circuit(rng)
+        full_frame = rng.random() < 0.5
+        got = rendered(circ, shared, full_frame)
+        assert got == rendered(circ, Camera(grid, params), full_frame), format_circuit(circ)
+
+
+@pytest.mark.parametrize("frame", [False, True])
+@pytest.mark.parametrize("weights", [None, (0.6, 0.8j)])
+@pytest.mark.parametrize("ell", [2, -2])
+def test_every_image_the_camera_returns_is_read_only(ell, weights, frame, params, paper_aperture):
+    # Outcomes of one key share a cached image, so no outcome's image may
+    # be written into: not the cached +|ell| one, its reflection or a
+    # superposition.
+    camera = Camera(Grid(128, 8e-3), params)
+    for _ in range(2):  # rendered, then read back
+        img, _ = camera.image(paper_aperture, ell, weights, frame=frame)
+        assert not img.flags.writeable
+        with pytest.raises(ValueError):
+            img[0, 0] = 1.0

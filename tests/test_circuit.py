@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import direct_field
 from oamcnot import circuit, readout
 from oamcnot.circuit import (
     Circuit,
@@ -18,19 +19,10 @@ from oamcnot.circuit import (
     parse,
     run_logical,
     run_wave,
-    synthesize_field,
 )
 from oamcnot.hybrid import PolarizationAxis, bell_state
-from oamcnot.wavefield import (
-    FULL,
-    OpticalParams,
-    aperture_box,
-    aperture_mask,
-    apply_mask,
-    far_field,
-    intensity,
-    lg_mode,
-)
+from oamcnot.readout import Camera
+from oamcnot.wavefield import OpticalParams, far_field, intensity
 
 REFERENCE_TEXT = (
     "SOURCE pol=V oam=1\n"
@@ -301,7 +293,7 @@ class TestRunLogical:
 
 class TestRunWave:
     def test_reference_circuit_reads_negative_charge(self, fast_grid, params):
-        wave = run_wave(parse(REFERENCE_TEXT), fast_grid, params)
+        wave = run_wave(parse(REFERENCE_TEXT), Camera(fast_grid, params))
         (outcome,) = wave.outcomes
         assert outcome.axis is PolarizationAxis.VERTICAL
         assert abs(outcome.probability - 1.0) < 1e-12
@@ -310,7 +302,7 @@ class TestRunWave:
 
     def test_h_variant_reads_positive_charge(self, fast_grid, params):
         text = REFERENCE_TEXT.replace("pol=V", "pol=H").replace("POLARIZER V", "POLARIZER H")
-        wave = run_wave(parse(text), fast_grid, params)
+        wave = run_wave(parse(text), Camera(fast_grid, params))
         (outcome,) = wave.outcomes
         assert outcome.readout.sign == "+"
         assert outcome.readout.magnitude == 1
@@ -321,7 +313,7 @@ class TestRunWave:
                 f"SOURCE pol={pol} oam={ell}\nMZI_CNOT\nPOLARIZER {pol}\n"
                 "TRIAPERTURE side=2\nDETECT"
             )
-            wave = run_wave(parse(text), fast_grid, params)
+            wave = run_wave(parse(text), Camera(fast_grid, params))
             (outcome,) = wave.outcomes
             amps = np.abs(wave.logical.final_state.amplitudes) ** 2
             oam_bit = int(np.argmax(amps)) % 2
@@ -331,11 +323,11 @@ class TestRunWave:
         # An outcome that is neither read out (TRIAPERTURE and DETECT) nor
         # written is not rendered: no mode, no mask, no lens.
         calls = [
-            *(counting(monkeypatch, name) for name in ("lg_mode", "aperture_mask", "far_field")),
-            counting(monkeypatch, "far_field", readout),
+            counting(monkeypatch, name)
+            for name in ("lg_mode", "aperture_mask", "far_field", "render_image")
         ]
         for text in ("SOURCE pol=D oam=1\nDETECT", "SOURCE pol=D oam=1\nTRIAPERTURE side=2"):
-            wave = run_wave(parse(text), fast_grid, params)
+            wave = run_wave(parse(text), Camera(fast_grid, params))
             assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
             for outcome in wave.outcomes:
                 assert outcome.intensity_map is None and outcome.readout is None
@@ -355,26 +347,20 @@ class TestRunWave:
         refusals = []
         for full_frame in (False, True):
             with pytest.raises(ValueError) as info:
-                run_wave(parse(text), fast_grid, params, full_frame=full_frame)
+                run_wave(parse(text), Camera(fast_grid, params), full_frame=full_frame)
             refusals.append(str(info.value))
         assert refusals[0] == refusals[1] and refusals[0].startswith(message)
 
     def test_written_outcome_is_the_whole_frame_from_the_aperture_box(self, fast_grid, params):
-        spec = TriangleAperture(2).spec
-        box = aperture_box(fast_grid, spec)
-        for text, outcome_box, outcome_mask in (
-            ("SOURCE pol=D oam=1\nDETECT", FULL, None),
-            ("SOURCE pol=D oam=1\nTRIAPERTURE side=2", box, aperture_mask(fast_grid, spec, box)),
+        for text, aperture in (
+            ("SOURCE pol=D oam=1\nDETECT", None),
+            ("SOURCE pol=D oam=1\nTRIAPERTURE side=2", TriangleAperture(2).spec),
         ):
-            wave = run_wave(parse(text), fast_grid, params, full_frame=True)
+            wave = run_wave(parse(text), Camera(fast_grid, params), full_frame=True)
             assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
             for outcome in wave.outcomes:
                 assert outcome.readout is None
-                field = synthesize_field(
-                    wave.logical, outcome.axis, fast_grid, params, outcome_box
-                )
-                if outcome_mask is not None:
-                    field = apply_mask(field, outcome_mask)
+                field = direct_field(fast_grid, params, aperture, 1)
                 img = intensity(far_field(field, params.focal_length))
                 assert img.shape == (fast_grid.n, fast_grid.n)
                 assert np.array_equal(outcome.intensity_map, img)
@@ -391,8 +377,8 @@ class TestRunWave:
         # peak finder sees only the window, and every readout is the one
         # of the same run without the frame.
         calls = counting(monkeypatch, "find_peaks", readout)
-        written = run_wave(parse(text), fast_grid, params, full_frame=True)
-        read = run_wave(parse(text), fast_grid, params)
+        written = run_wave(parse(text), Camera(fast_grid, params), full_frame=True)
+        read = run_wave(parse(text), Camera(fast_grid, params))
         shapes = [args[0].shape for args in calls]
         assert shapes and (fast_grid.n, fast_grid.n) not in shapes
         assert [o.readout for o in written.outcomes] == [o.readout for o in read.outcomes]
@@ -403,7 +389,7 @@ class TestRunWave:
 
     def test_no_polarizer_renders_both_outcomes(self, fast_grid, params):
         text = "SOURCE pol=D oam=1\nTRIAPERTURE side=2\nDETECT"
-        wave = run_wave(parse(text), fast_grid, params)
+        wave = run_wave(parse(text), Camera(fast_grid, params))
         assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
         for outcome in wave.outcomes:
             assert abs(outcome.probability - 0.5) < 1e-12
@@ -411,7 +397,7 @@ class TestRunWave:
 
     def test_zero_charge_classifies_undefined(self, fast_grid, params):
         text = "SOURCE pol=H oam=0\nPOLARIZER H\nTRIAPERTURE side=2\nDETECT"
-        wave = run_wave(parse(text), fast_grid, params)
+        wave = run_wave(parse(text), Camera(fast_grid, params))
         (outcome,) = wave.outcomes
         assert outcome.readout.magnitude == 0
         assert outcome.readout.sign == "undefined"
@@ -424,9 +410,9 @@ class TestRunWave:
         # A transparent polarizer before the plate changes nothing.
         body = "HWP angle=22.5\nMZI_CNOT\nTRIAPERTURE side=2\nDETECT"
         with_polarizer = run_wave(
-            parse(f"SOURCE pol=H oam=1\nPOLARIZER H\n{body}"), fast_grid, params
+            parse(f"SOURCE pol=H oam=1\nPOLARIZER H\n{body}"), Camera(fast_grid, params)
         )
-        without = run_wave(parse(f"SOURCE pol=H oam=1\n{body}"), fast_grid, params)
+        without = run_wave(parse(f"SOURCE pol=H oam=1\n{body}"), Camera(fast_grid, params))
         for wave in (with_polarizer, without):
             assert [o.axis.value for o in wave.outcomes] == ["H", "V"]
             assert [o.readout.topological_charge for o in wave.outcomes] == [1, -1]
@@ -450,7 +436,7 @@ class TestRunWave:
             assert abs(probability - 0.25) < 1e-12
 
 
-def counting(monkeypatch, name, module=circuit):
+def counting(monkeypatch, name, module=readout):
     """Wrap ``module.<name>`` so that every call is recorded."""
     calls = []
     real = getattr(module, name)
@@ -464,31 +450,31 @@ def counting(monkeypatch, name, module=circuit):
 
 
 class TestSynthesizeField:
+    """The field an outcome is rendered from, against the signed modes
+    built without the camera (``conftest.direct_field``)."""
+
     def test_basis_outcome_builds_one_mode(self, monkeypatch, fast_grid, params):
-        run = run_logical(parse("SOURCE pol=H oam=1\nMZI_CNOT"))
-        ((axis, _),) = outcome_axes(run)
         calls = counting(monkeypatch, "lg_mode")
-        field = synthesize_field(run, axis, fast_grid, params)
+        text = "SOURCE pol=H oam=1\nMZI_CNOT"
+        wave = run_wave(parse(text), Camera(fast_grid, params), full_frame=True)
+        (outcome,) = wave.outcomes
         assert [args[1] for args in calls] == [1]
-        mode = lg_mode(fast_grid, 1, params.beam_waist, params.wavelength)
-        assert np.array_equal(field.samples, mode.samples)
+        far = far_field(direct_field(fast_grid, params, None, 1), params.focal_length)
+        assert np.array_equal(outcome.intensity_map, intensity(far))
 
     def test_superposition_outcome_builds_both_modes(self, monkeypatch, fast_grid, params):
-        run = run_logical(parse("SOURCE pol=D oam=1\nMZI_CNOT\nHWP angle=22.5"))
-        axes = [axis for axis, _ in outcome_axes(run)]
-        assert len(axes) == 2
-        plus, minus = (
-            lg_mode(fast_grid, ell, params.beam_waist, params.wavelength).samples
-            for ell in (1, -1)
-        )
-        for axis in axes:
-            calls = counting(monkeypatch, "lg_mode")
-            field = synthesize_field(run, axis, fast_grid, params)
-            # -1 is the exact conjugate of the one mode built
-            assert [args[1] for args in calls] == [1]
-            w_plus, w_minus = circuit._oam_components(run.final_state, axis)
+        text = "SOURCE pol=D oam=1\nMZI_CNOT\nHWP angle=22.5"
+        calls = counting(monkeypatch, "lg_mode")
+        wave = run_wave(parse(text), Camera(fast_grid, params), full_frame=True)
+        assert len(wave.outcomes) == 2
+        # -1 is the exact conjugate of the one mode each outcome builds
+        assert [args[1] for args in calls] == [1, 1]
+        for outcome in wave.outcomes:
+            w_plus, w_minus = circuit._oam_components(wave.logical.final_state, outcome.axis)
             assert w_plus != 0 and w_minus != 0
-            assert np.array_equal(field.samples, w_plus * plus + w_minus * minus)
+            field = direct_field(fast_grid, params, None, 1, (w_plus, w_minus))
+            img = intensity(far_field(field, params.focal_length))
+            assert np.array_equal(outcome.intensity_map, img)
 
 
 class TestRunWaveMask:
@@ -496,11 +482,11 @@ class TestRunWaveMask:
         calls = counting(monkeypatch, "aperture_mask")
         blocked = "SOURCE pol=H oam=1\nPOLARIZER V\nTRIAPERTURE side=2"
         for text in (blocked + "\nDETECT", blocked):
-            assert run_wave(parse(text), fast_grid, params).outcomes == ()
+            assert run_wave(parse(text), Camera(fast_grid, params)).outcomes == ()
         assert calls == []
 
     def test_one_mask_for_all_outcomes(self, monkeypatch, fast_grid, params):
         calls = counting(monkeypatch, "aperture_mask")
         text = "SOURCE pol=D oam=1\nTRIAPERTURE side=2\nDETECT"
-        assert len(run_wave(parse(text), fast_grid, params).outcomes) == 2
+        assert len(run_wave(parse(text), Camera(fast_grid, params)).outcomes) == 2
         assert len(calls) == 1

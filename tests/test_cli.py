@@ -362,7 +362,7 @@ class TestExitCodes:
         )
         assert code == EXIT_PARSE
         assert report == (
-            "config error: window_mm 1e+160 at grid_n 256 gives a pitch^2 of inf, "
+            "config error: window 1e+157 m at grid n 256 gives a pitch^2 of inf, "
             "outside the finite normal floats\n"
         )
 
@@ -379,7 +379,7 @@ class TestExitCodes:
             ["truth-table", *FAST, "--window-mm", window_mm, "--waist-mm", waist_mm]
         )
         assert code == EXIT_PARSE
-        assert report.startswith(f"config error: window_mm {float(window_mm):g} ")
+        assert report.startswith(f"config error: window {float(window_mm) * 1e-3:g} m ")
         assert f" gives a {name}" in report
 
     def test_aperture_narrower_than_four_pitches_is_refused(self):

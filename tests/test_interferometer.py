@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import verify_cnot
 from oamcnot.hybrid import CNOT_MATRIX, HybridState, cnot
 from oamcnot.interferometer import (
     MODE_LABELS,
@@ -14,7 +15,6 @@ from oamcnot.interferometer import (
     mirror_apply,
     pbs_apply,
     pentaprism_apply,
-    verify_cnot,
 )
 
 X_TARGET_AFTER_CNOT = np.array(

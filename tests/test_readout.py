@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import mesh
+from oamcnot import readout
 from oamcnot.readout import (
     AmbiguousOrientationError,
     ClassificationError,
@@ -35,7 +37,7 @@ LAM, F, W0 = 532e-9, 0.30, 0.5e-3
 
 def gaussian_spots(grid, centers, widths=None, amplitudes=None):
     """Synthetic image: one Gaussian bump per (x, y) center in meters."""
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     img = np.zeros((grid.n, grid.n))
     widths = widths or [3.0 * grid.pitch] * len(centers)
     amplitudes = amplitudes or [1.0] * len(centers)
@@ -266,6 +268,20 @@ class TestClassify:
     def test_under_resolved_grid_propagates_waist_error(self, params, paper_aperture):
         with pytest.raises(ValueError, match="waist"):
             readout_roundtrip(1, params, Grid(64, 8e-3), paper_aperture)
+
+    def test_window_outside_the_floats_is_refused_before_any_mode(self, monkeypatch):
+        # the library refuses the window as the CLI does, with the same message
+        calls = []
+        monkeypatch.setattr(readout, "lg_mode", lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as info:
+            readout_roundtrip(
+                1, OpticalParams(beam_waist=1e156), Grid(256, 1e157), ApertureSpec(TRIANGLE, 2e156)
+            )
+        assert str(info.value) == (
+            "window 1e+157 m at grid n 256 gives a pitch^2 of inf, "
+            "outside the finite normal floats"
+        )
+        assert calls == []
 
 
 def _readout_or_refusal(ell, params, grid, aperture):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import mesh
 from oamcnot.wavefield import (
     ApertureSpec,
     CIRCLE,
@@ -28,7 +29,7 @@ def random_field(rng, grid, wavelength=LAM):
 
 
 def radial_profile(img, grid, bin_px=1.0):
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     r = np.hypot(x, y)
     width = bin_px * grid.pitch
     idx = np.round(r / width).astype(int)
@@ -39,7 +40,7 @@ def radial_profile(img, grid, bin_px=1.0):
 
 def polar_lg_mode(grid, ell, waist):
     """The vortex mode's closed form in polar coordinates, unit power."""
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     r = np.hypot(x, y)
     field = (r * np.sqrt(2.0) / waist) ** abs(ell) * np.exp(-((r / waist) ** 2))
     field = field * np.exp(1j * ell * np.arctan2(y, x))
@@ -48,7 +49,7 @@ def polar_lg_mode(grid, ell, waist):
 
 def meshgrid_mask(grid, aperture):
     """The aperture inequalities evaluated on full-grid coordinate meshes."""
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     if aperture.shape == CIRCLE:
         return (x**2 + y**2 <= (aperture.size / 2.0) ** 2).astype(float)
     circumradius = aperture.size / np.sqrt(3.0)
@@ -235,7 +236,7 @@ class TestFarField:
         # the centred 128-pixel window holds the spot out to 12 waists
         out = far_field(lg_mode(default_grid, 0, W0, LAM), F, 128)
         img = intensity(out)
-        x, y = out.grid.mesh()
+        x, y = mesh(out.grid)
         w_measured = np.sqrt(2.0 * np.sum(img * (x**2 + y**2)) / np.sum(img))
         w_predicted = LAM * F / (np.pi * W0)
         assert abs(w_measured - w_predicted) < out.grid.pitch
