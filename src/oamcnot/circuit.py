@@ -124,16 +124,8 @@ class TriangleAperture:
             )
 
     @property
-    def side_m(self) -> float:
-        return self.side_mm * 1e-3
-
-    @property
-    def orientation_rad(self) -> float:
-        return math.radians(self.orientation_deg)
-
-    @property
     def spec(self) -> ApertureSpec:
-        return ApertureSpec(TRIANGLE, self.side_m, self.orientation_rad)
+        return ApertureSpec(TRIANGLE, self.side_mm * 1e-3, math.radians(self.orientation_deg))
 
 
 @dataclass(frozen=True)
@@ -327,32 +319,27 @@ def format_circuit(circuit: Circuit) -> str:
 
 @dataclass(frozen=True)
 class ProjectionEvent:
-    """A polarizer encounter: statement index, axis, transmitted
-    probability, and the collapsed state (None when nothing transmits)."""
+    """A polarizer encounter: its axis and transmitted probability."""
 
-    index: int
     axis: PolarizationAxis
     probability: float
-    collapsed: HybridState | None
 
 
 @dataclass(frozen=True)
 class LogicalRun:
-    """State after each statement plus all polarizer events.
+    """The final state (None once a polarizer passes nothing), all
+    polarizer events, and ``analyzer``: the last polarizer's axis, or None
+    when there is none or a half-wave plate follows it.
 
     For a zero-charge source there is no sign qubit; the polarization
     algebra then runs on a stand-in positive-sign state and
     ``oam_is_zero`` marks the record.
     """
 
-    circuit: Circuit
-    states: tuple[HybridState | None, ...]
+    final_state: HybridState | None
     projections: tuple[ProjectionEvent, ...]
     oam_is_zero: bool
-
-    @property
-    def final_state(self) -> HybridState | None:
-        return self.states[-1]
+    analyzer: PolarizationAxis | None
 
 
 def _hwp_matrix(angle_deg: float) -> np.ndarray:
@@ -375,35 +362,32 @@ def _source_state(source: Source) -> tuple[HybridState, bool]:
 
 def run_logical(circuit: Circuit) -> LogicalRun:
     """Evolve the hybrid state through the circuit, statement by statement."""
-    states: list[HybridState | None] = []
     projections: list[ProjectionEvent] = []
     state: HybridState | None = None
     oam_is_zero = False
+    analyzer: PolarizationAxis | None = None
 
-    for index, stmt in enumerate(circuit.statements):
+    for stmt in circuit.statements:
         if isinstance(stmt, Source):
             state, oam_is_zero = _source_state(stmt)
-        elif state is None:
-            # A zero-probability polarizer killed the beam upstream.
-            if isinstance(stmt, Polarizer):
-                projections.append(
-                    ProjectionEvent(index, _AXIS_BY_LABEL[stmt.axis], 0.0, None)
-                )
+        elif isinstance(stmt, Polarizer):
+            analyzer = _AXIS_BY_LABEL[stmt.axis]
+            # A zero-probability polarizer upstream leaves nothing to project.
+            probability, state = (
+                (0.0, None) if state is None else project_polarization(state, analyzer)
+            )
+            projections.append(ProjectionEvent(analyzer, probability))
         elif isinstance(stmt, Hwp):
-            amps = np.kron(_hwp_matrix(stmt.angle_deg), np.eye(2)) @ state.amplitudes
-            state = HybridState(amps, state.oam_magnitude)
-        elif isinstance(stmt, MziCnot):
+            analyzer = None
+            if state is not None:
+                amps = np.kron(_hwp_matrix(stmt.angle_deg), np.eye(2)) @ state.amplitudes
+                state = HybridState(amps, state.oam_magnitude)
+        elif isinstance(stmt, MziCnot) and state is not None:
             matrix = compose_mzi(stmt.mode)
             state = HybridState(matrix @ state.amplitudes, state.oam_magnitude)
-        elif isinstance(stmt, Polarizer):
-            axis = _AXIS_BY_LABEL[stmt.axis]
-            probability, collapsed = project_polarization(state, axis)
-            projections.append(ProjectionEvent(index, axis, probability, collapsed))
-            state = collapsed
         # TriangleAperture and Detect do not act on the logical state.
-        states.append(state)
 
-    return LogicalRun(circuit, tuple(states), tuple(projections), oam_is_zero)
+    return LogicalRun(state, tuple(projections), oam_is_zero, analyzer)
 
 
 @dataclass(frozen=True)
@@ -411,12 +395,16 @@ class WaveOutcome:
     """One polarization outcome at the camera.  ``intensity_map`` is the
     whole camera frame, read-only, when the outcome is written, else None.
     ``readout`` is None unless the circuit has TRIAPERTURE and DETECT, and
-    the ReadoutError of an OAM superposition the classifier cannot read."""
+    the ReadoutError of an OAM superposition the classifier cannot read.
+    ``expected`` is the signed charge the readout must give (0 for a
+    zero-charge source), or None when the outcome's OAM is a genuine
+    superposition: this is the one judge of every command's readouts."""
 
     axis: PolarizationAxis
     probability: float
     intensity_map: np.ndarray | None
     readout: ReadoutResult | ReadoutError | None
+    expected: int | None
 
 
 @dataclass(frozen=True)
@@ -425,43 +413,20 @@ class WaveRun:
     outcomes: tuple[WaveOutcome, ...]
 
 
-def _oam_components(state: HybridState, axis: PolarizationAxis) -> np.ndarray:
-    """Normalized OAM-sign amplitudes riding on the given axis."""
-    chi = axis.jones.conj() @ state.amplitudes.reshape(2, 2)
-    return chi / np.linalg.norm(chi)
-
-
-def expected_charge(run: LogicalRun, axis: PolarizationAxis) -> int | None:
-    """Signed charge the readout of an outcome should report (0 for a
-    zero-charge source), or None when the outcome's OAM is a genuine
-    superposition.  This is the one judge of every command's readouts."""
-    if run.oam_is_zero:
-        return 0
-    state = run.final_state
-    weights = np.abs(_oam_components(state, axis)) ** 2
-    for weight, sign in zip(weights, (1, -1)):
-        if weight > 1.0 - 1e-9:
-            return sign * state.oam_magnitude
-    return None
-
-
 def outcome_axes(run: LogicalRun) -> list[tuple[PolarizationAxis, float]]:
     """(axis, probability) pairs to render; each probability includes the
     survival product of the circuit's polarizers.
 
-    The last polarizer fixes the analyzer axis unless a half-wave plate
-    follows it; otherwise the H and V outcomes of the final state are
-    rendered.
+    The analyzer, if any, is the one axis; otherwise the H and V outcomes
+    of the final state are rendered.
     """
     survival = 1.0
     for event in run.projections:
         survival *= event.probability
     if survival <= ZERO_PROBABILITY:
         return []
-    if run.projections:
-        last = run.projections[-1]
-        if not any(isinstance(s, Hwp) for s in run.circuit.statements[last.index + 1 :]):
-            return [(last.axis, survival)]
+    if run.analyzer is not None:
+        return [(run.analyzer, survival)]
     axes = []
     for axis in (PolarizationAxis.HORIZONTAL, PolarizationAxis.VERTICAL):
         probability = survival * project_polarization(run.final_state, axis)[0]
@@ -478,7 +443,8 @@ def run_wave(circuit: Circuit, camera: Camera, *, full_frame: bool = False) -> W
     refused as a rendered one would be, by the camera's refusal step
     alone; a blocked beam is not refused.  An outcome that carries one
     vortex mode is that mode's image; one that carries both is their
-    superposition.  A mode whose weight is exactly zero is not carried.
+    superposition.  A mode whose weight is exactly zero is not carried;
+    a sign whose weight is above 1 - 1e-9 is the expected charge.
     A ReadoutError is raised only for an outcome with an expected charge."""
     aperture_stmt = circuit.first_of(TriangleAperture)
     aperture = None if aperture_stmt is None else aperture_stmt.spec
@@ -487,27 +453,31 @@ def run_wave(circuit: Circuit, camera: Camera, *, full_frame: bool = False) -> W
     magnitude = abs(circuit.statements[0].oam)
     outcomes = []
     for axis, probability in outcome_axes(logical):
-        if not (reads_out or full_frame):
-            camera.refuse(aperture, magnitude)
-            outcomes.append(WaveOutcome(axis, probability, None, None))
-            continue
-        charge, weights = magnitude, None
+        charge, weights, expected = magnitude, None, 0
         if not logical.oam_is_zero:
-            plus, minus = _oam_components(logical.final_state, axis)
+            # the normalized OAM-sign amplitudes riding on the axis
+            chi = axis.jones.conj() @ logical.final_state.amplitudes.reshape(2, 2)
+            plus, minus = chi / np.linalg.norm(chi)
             if plus == 0:
                 charge = -magnitude
             elif minus != 0:
                 weights = plus, minus
+            plus_only, minus_only = (abs(w) ** 2 > 1.0 - 1e-9 for w in (plus, minus))
+            expected = magnitude if plus_only else -magnitude if minus_only else None
+        if not (reads_out or full_frame):
+            camera.refuse(aperture, magnitude)
+            outcomes.append(WaveOutcome(axis, probability, None, None, expected))
+            continue
         readout = None
         if reads_out:
             img, far_grid = camera.image(aperture, charge, weights)
             try:
                 readout = classify_oam(img, aperture, far_grid, camera.params)
             except ReadoutError as exc:
-                if expected_charge(logical, axis) is not None:
+                if expected is not None:
                     raise
                 # the traceback would keep the classifier's arrays alive
                 readout = exc.with_traceback(None)
         frame = camera.image(aperture, charge, weights, frame=True)[0] if full_frame else None
-        outcomes.append(WaveOutcome(axis, probability, frame, readout))
+        outcomes.append(WaveOutcome(axis, probability, frame, readout, expected))
     return WaveRun(logical, tuple(outcomes))

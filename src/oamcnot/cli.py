@@ -190,14 +190,12 @@ def cmd_truth_table(config: RunConfig, camera: Camera, stream) -> int:
             deviation = float(
                 np.max(np.abs(wave.logical.final_state.amplitudes - exp_amps))
             )
-            logical_ell = dsl.expected_charge(wave.logical, outcome.axis)
             wave_ell = outcome.readout.topological_charge
-            ok = deviation < 1e-12 and wave_ell == logical_ell
+            ok = deviation < 1e-12 and wave_ell == outcome.expected
             axis = outcome.axis.value
             lines.append(
-                f"{pol},{ell:+d},"
-                + (f"{axis},{logical_ell:+d}," if logical_ell is not None else "?,?,")
-                + f"{axis},{wave_ell:+d},{'yes' if ok else 'no'}"
+                f"{pol},{ell:+d},{axis},{outcome.expected:+d},"
+                f"{axis},{wave_ell:+d},{'yes' if ok else 'no'}"
             )
             rows_ok += int(ok)
             _save_outputs(outcome.intensity_map, f"truth_{pol}{ell:+d}", config)
@@ -300,8 +298,7 @@ def cmd_simulate(circuit_path: str, config: RunConfig, camera: Camera, stream) -
             lines.append(f"outcome_readout_error={result}")
             lines.append("outcome_agreement=n/a")
         elif result is not None:
-            expected = dsl.expected_charge(logical, outcome.axis)
-            got = result.topological_charge
+            expected, got = outcome.expected, result.topological_charge
             agreement = "n/a" if expected is None else ("yes" if got == expected else "no")
             if agreement == "no":
                 status = "mismatch"
@@ -338,7 +335,7 @@ def cmd_readout_sweep(
             continue
         (outcome,) = wave.outcomes
         result = outcome.readout
-        correct = result.topological_charge == dsl.expected_charge(wave.logical, outcome.axis)
+        correct = result.topological_charge == outcome.expected
         all_correct &= correct
         csv.append(
             f"{ell},{result.spots_per_side},{result.sign},{result.magnitude},"

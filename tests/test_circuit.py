@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import direct_field
 from oamcnot import circuit, readout
@@ -20,9 +20,9 @@ from oamcnot.circuit import (
     run_logical,
     run_wave,
 )
-from oamcnot.hybrid import PolarizationAxis, bell_state
+from oamcnot.hybrid import CNOT_MATRIX, PolarizationAxis, bell_state
 from oamcnot.readout import Camera
-from oamcnot.wavefield import OpticalParams, far_field, intensity
+from oamcnot.wavefield import TRIANGLE, Grid, OpticalParams, far_field, intensity
 
 REFERENCE_TEXT = (
     "SOURCE pol=V oam=1\n"
@@ -85,9 +85,9 @@ class TestParse:
 
     def test_units_of_aperture_statement(self):
         circuit = parse("SOURCE pol=H oam=1\nTRIAPERTURE side=2 orientation=90")
-        stmt = circuit.statements[1]
-        assert stmt.side_m == 2e-3
-        assert abs(stmt.orientation_rad - np.pi / 2) < 1e-15
+        spec = circuit.statements[1].spec
+        assert spec.shape == TRIANGLE and spec.size == 2e-3
+        assert abs(spec.orientation - np.pi / 2) < 1e-15
 
     def test_case_insensitive_keywords(self):
         circuit = parse("source pol=h oam=-2\nmzi_cnot MODE=strict-parity")
@@ -275,8 +275,11 @@ class TestRunLogical:
         run = run_logical(parse("SOURCE pol=H oam=1\nPOLARIZER V\nDETECT"))
         (event,) = run.projections
         assert event.probability == 0.0
-        assert event.collapsed is None
         assert run.final_state is None
+        # a polarizer after the blocked beam records no light and no state
+        run = run_logical(parse("SOURCE pol=H oam=1\nPOLARIZER V\nHWP angle=45\nPOLARIZER H"))
+        assert [(e.axis.value, e.probability) for e in run.projections] == [("V", 0.0), ("H", 0.0)]
+        assert run.final_state is None and run.analyzer is PolarizationAxis.HORIZONTAL
 
     def test_zero_charge_marks_record(self):
         run = run_logical(parse("SOURCE pol=H oam=0\nHWP angle=45\nPOLARIZER V"))
@@ -284,11 +287,12 @@ class TestRunLogical:
         (event,) = run.projections
         assert abs(event.probability - 1.0) < 1e-12
 
-    def test_states_recorded_per_statement(self):
+    def test_aperture_and_detect_leave_the_state(self):
         run = run_logical(parse(REFERENCE_TEXT))
-        assert len(run.states) == 5
-        # aperture and detection do not change the logical state
-        assert run.states[3] is run.states[4]
+        bare = run_logical(parse("SOURCE pol=V oam=1\nMZI_CNOT\nPOLARIZER V"))
+        assert np.array_equal(run.final_state.amplitudes, bare.final_state.amplitudes)
+        assert run.projections == bare.projections
+        assert run.analyzer is bare.analyzer is PolarizationAxis.VERTICAL
 
 
 class TestRunWave:
@@ -424,6 +428,7 @@ class TestRunWave:
 
     def test_hwp_after_polarizer_moves_the_outcome_axis(self):
         run = run_logical(parse("SOURCE pol=H oam=1\nPOLARIZER H\nHWP angle=45"))
+        assert run.analyzer is None
         ((axis, probability),) = outcome_axes(run)
         assert axis is PolarizationAxis.VERTICAL
         assert abs(probability - 1.0) < 1e-12
@@ -470,8 +475,9 @@ class TestSynthesizeField:
         # -1 is the exact conjugate of the one mode each outcome builds
         assert [args[1] for args in calls] == [1, 1]
         for outcome in wave.outcomes:
-            w_plus, w_minus = circuit._oam_components(wave.logical.final_state, outcome.axis)
-            assert w_plus != 0 and w_minus != 0
+            chi = outcome.axis.jones.conj() @ wave.logical.final_state.amplitudes.reshape(2, 2)
+            w_plus, w_minus = chi / np.linalg.norm(chi)
+            assert w_plus != 0 and w_minus != 0 and outcome.expected is None
             field = direct_field(fast_grid, params, None, 1, (w_plus, w_minus))
             img = intensity(far_field(field, params.focal_length))
             assert np.array_equal(outcome.intensity_map, img)
@@ -490,3 +496,83 @@ class TestRunWaveMask:
         text = "SOURCE pol=D oam=1\nTRIAPERTURE side=2\nDETECT"
         assert len(run_wave(parse(text), Camera(fast_grid, params)).outcomes) == 2
         assert len(calls) == 1
+
+
+#: Jones vectors of the source and polarizer labels, written out here.
+JONES = {
+    "H": np.array([1, 0]),
+    "V": np.array([0, 1]),
+    "D": np.array([1, 1]) / SQRT2,
+    "A": np.array([1, -1]) / SQRT2,
+}
+#: Paper-default gate, and strict parity: the CNOT, then a flip of the target.
+GATES = {
+    "paper-default": CNOT_MATRIX,
+    "strict-parity": np.kron(np.eye(2), [[0, 1], [1, 0]]) @ CNOT_MATRIX,
+}
+
+
+def reference_outcomes(statements):
+    """(axis label, probability, expected charge) per outcome, from plain
+    matrices: an unnormalized state that each polarizer projects.  Returns
+    None when a probability or a sign weight lies near a cut-off, where
+    rounding may fall either side."""
+    source, *rest = statements
+    state = np.kron(JONES[source.pol], [1, 0] if source.oam >= 0 else [0, 1])
+    analyzer = None
+    for stmt in rest:
+        if isinstance(stmt, Hwp):
+            c, s = np.cos(np.radians(2 * stmt.angle_deg)), np.sin(np.radians(2 * stmt.angle_deg))
+            state = np.kron([[c, s], [s, -c]], np.eye(2)) @ state
+            analyzer = None
+        elif isinstance(stmt, MziCnot):
+            state = GATES[stmt.mode] @ state
+        elif isinstance(stmt, Polarizer):
+            analyzer = stmt.axis
+            state = np.kron(np.outer(JONES[analyzer], JONES[analyzer]), np.eye(2)) @ state
+    outcomes = []
+    for axis in [analyzer] if analyzer else ["H", "V"]:
+        chi = JONES[axis] @ state.reshape(2, 2)
+        probability = float(np.sum(np.abs(chi) ** 2))
+        if 1e-16 < probability < 1e-12:
+            return None
+        if probability <= 1e-14:
+            continue
+        weights = np.abs(chi) ** 2 / probability
+        if any(1 - 1e-7 < w < 1 - 1e-11 for w in weights):
+            return None
+        signs = [sign for sign, w in zip((1, -1), weights) if w > 1 - 1e-9]
+        expected = signs[0] * abs(source.oam) if signs else None
+        outcomes.append((axis, probability, 0 if source.oam == 0 else expected))
+    return outcomes
+
+
+@st.composite
+def logical_circuits(draw):
+    """SOURCE, then HWP, MZI_CNOT (a nonzero charge only) and POLARIZER in
+    any order, then DETECT or not; no TRIAPERTURE, so nothing is rendered."""
+    oam = draw(st.integers(-10, 10))
+    angles = st.integers(-24, 24).map(lambda k: 7.5 * k) | finite_floats(
+        min_value=-90, max_value=90
+    )
+    body = st.one_of(
+        angles.map(Hwp),
+        st.sampled_from(("H", "V")).map(Polarizer),
+        *([st.sampled_from(("paper-default", "strict-parity")).map(MziCnot)] if oam else []),
+    )
+    statements = [Source(draw(st.sampled_from("HVDA")), oam), *draw(st.lists(body, max_size=6))]
+    return Circuit((*statements, Detect()) if draw(st.booleans()) else statements)
+
+
+class TestOutcomeRecord:
+    @settings(max_examples=300, deadline=None)
+    @given(logical_circuits())
+    def test_every_outcome_matches_the_plain_matrices(self, circ):
+        want = reference_outcomes(circ.statements)
+        assume(want is not None)
+        wave = run_wave(circ, Camera(Grid(64, 4e-3), OpticalParams()))
+        assert [o.axis.value for o in wave.outcomes] == [axis for axis, _, _ in want]
+        for outcome, (_, probability, expected) in zip(wave.outcomes, want):
+            assert abs(outcome.probability - probability) <= 1e-9 * probability
+            assert outcome.expected == expected
+            assert outcome.intensity_map is None and outcome.readout is None
