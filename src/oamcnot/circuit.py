@@ -357,7 +357,7 @@ def _source_state(source: Source) -> tuple[HybridState, bool]:
     sign_bit = 1 if source.oam < 0 else 0
     oam_vec = np.zeros(2, dtype=complex)
     oam_vec[sign_bit] = 1.0
-    return HybridState(np.kron(jones, oam_vec), magnitude), oam_is_zero
+    return HybridState(np.outer(jones, oam_vec).reshape(4), magnitude), oam_is_zero
 
 
 def run_logical(circuit: Circuit) -> LogicalRun:

@@ -140,7 +140,7 @@ def project_polarization(
     prob = float(np.sum(np.abs(chi) ** 2))
     if prob < ZERO_PROBABILITY:
         return prob, None
-    collapsed = np.kron(e, chi / np.sqrt(prob))
+    collapsed = np.outer(e, chi / np.sqrt(prob)).reshape(4)
     return prob, HybridState(collapsed, state.oam_magnitude)
 
 

@@ -115,8 +115,8 @@ def _logical_output(state: PathState, input_label: str) -> np.ndarray:
     return state.amplitudes[LOWER].reshape(4)
 
 
-def compose_mzi(mode_label: str) -> np.ndarray:
-    """Logical 4x4 transfer matrix of the full interferometer.
+def _compose(mode_label: str) -> np.ndarray:
+    """Logical 4x4 transfer matrix of the full interferometer, read-only.
 
     Each logical basis state is injected on the lower input port, pushed
     through splitter -> {mirror, pentaprism} -> splitter, and read off the
@@ -126,13 +126,21 @@ def compose_mzi(mode_label: str) -> np.ndarray:
     for pol in (0, 1):
         for sign in (0, 1):
             s = inject_lower(pol, sign)
-            s = pbs_apply(s, mode_label)
-            s = mirror_apply(s, mode_label)
-            s = pentaprism_apply(s, mode_label)
-            s = pbs_apply(s, mode_label)
+            for element in (pbs_apply, mirror_apply, pentaprism_apply, pbs_apply):
+                s = element(s, mode_label)
             columns.append(_logical_output(s, _BASIS_LABELS[2 * pol + sign]))
     matrix = np.column_stack(columns)
     gram = matrix.conj().T @ matrix
     if float(np.max(np.abs(gram - np.eye(4)))) > NORM_TOL:
         raise RoutingError("composite", float(np.max(np.abs(gram - np.eye(4)))))
+    matrix.setflags(write=False)
     return matrix
+
+
+MZI_MATRICES = {mode: _compose(mode) for mode in MODE_LABELS}
+
+
+def compose_mzi(mode_label: str) -> np.ndarray:
+    """The mode's read-only logical matrix, composed once at import by ``_compose``."""
+    _strict(mode_label)
+    return MZI_MATRICES[mode_label]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oamcnot.circuit import Source, _source_state
 from oamcnot.hybrid import (
     CNOT_MATRIX,
     HybridState,
@@ -187,6 +188,28 @@ class TestProjection:
         p_h, _ = project_polarization(state, PolarizationAxis.HORIZONTAL)
         p_v, _ = project_polarization(state, PolarizationAxis.VERTICAL)
         assert abs(p_h + p_v - 1.0) < 1e-12
+
+    @given(amplitude_lists())
+    def test_collapsed_amplitudes_equal_the_kronecker_product(self, parts):
+        # project_polarization builds the product with np.outer; every
+        # entry is the same single multiply that np.kron makes.
+        state = state_from_parts(parts)
+        for axis in PolarizationAxis:
+            prob, collapsed = project_polarization(state, axis)
+            if collapsed is None:
+                continue
+            e = axis.jones
+            chi = e.conj() @ state.amplitudes.reshape(2, 2)
+            assert np.array_equal(collapsed.amplitudes, np.kron(e, chi / np.sqrt(prob)))
+
+
+@pytest.mark.parametrize("pol", ["H", "V", "D", "A"])
+@pytest.mark.parametrize("oam", [3, 0, -3])
+def test_source_state_equals_the_kronecker_product(pol, oam):
+    state, _ = _source_state(Source(pol, oam))
+    oam_vec = np.array([1.0, 0.0] if oam >= 0 else [0.0, 1.0], dtype=complex)
+    jones = PolarizationAxis(pol).jones
+    assert np.array_equal(state.amplitudes, np.kron(jones, oam_vec))
 
 
 class TestDiagnostics:

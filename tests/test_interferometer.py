@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import verify_cnot
+from oamcnot import interferometer
+from oamcnot.circuit import _source_state, parse, run_logical
 from oamcnot.hybrid import CNOT_MATRIX, HybridState, cnot
 from oamcnot.interferometer import (
     MODE_LABELS,
@@ -9,6 +11,7 @@ from oamcnot.interferometer import (
     STRICT_PARITY,
     PathState,
     RoutingError,
+    _compose,
     _logical_output,
     compose_mzi,
     inject_lower,
@@ -166,6 +169,45 @@ class TestComposition:
             amps /= np.linalg.norm(amps)
             state = HybridState(amps, 1)
             assert np.allclose(matrix @ amps, cnot(state).amplitudes, atol=1e-12)
+
+
+class TestComposedOnce:
+    def test_repeat_calls_return_one_read_only_array_per_mode(self):
+        first = {mode: compose_mzi(mode) for mode in MODE_LABELS}
+        for mode in MODE_LABELS:
+            assert compose_mzi(mode) is first[mode]
+            assert not first[mode].flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                first[mode][0, 0] = 0.0
+        assert not np.array_equal(first[PAPER_DEFAULT], first[STRICT_PARITY])
+
+    def test_stored_matrix_equals_a_fresh_composition_and_the_oracle(self):
+        for mode in MODE_LABELS:
+            assert np.array_equal(compose_mzi(mode), _compose(mode))
+            assert np.array_equal(compose_mzi(mode), oracle_matrix(mode))
+
+    def test_run_logical_pushes_no_state_through_the_elements(self, monkeypatch):
+        text = "SOURCE pol=D oam=-2\nMZI_CNOT\nMZI_CNOT mode=strict-parity\nMZI_CNOT"
+        circuit = parse(text)
+        amps = _source_state(circuit.statements[0])[0].amplitudes
+        for mode in (PAPER_DEFAULT, STRICT_PARITY, PAPER_DEFAULT):
+            amps = _compose(mode) @ amps
+
+        calls = []
+        for name in ("pbs_apply", "mirror_apply", "pentaprism_apply"):
+            element = getattr(interferometer, name)
+
+            def counted(state, mode_label, name=name, element=element):
+                calls.append(name)
+                return element(state, mode_label)
+
+            monkeypatch.setattr(interferometer, name, counted)
+        run = run_logical(circuit)
+        assert calls == []
+        assert np.array_equal(run.final_state.amplitudes, amps)
+        # The counters do count: a fresh composition goes through them.
+        _compose(STRICT_PARITY)
+        assert len(calls) == 4 * 4
 
 
 class TestVerifyCnot:
