@@ -379,13 +379,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once: parse_args keeps nothing of one call for the next.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "readout-sweep":
         if not (-MAX_CHARGE <= args.ell_min <= args.ell_max <= MAX_CHARGE):
-            parser.error(
+            _PARSER.error(
                 f"need -{MAX_CHARGE} <= ell-min <= ell-max <= {MAX_CHARGE}"
             )
     try:

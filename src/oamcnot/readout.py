@@ -59,7 +59,7 @@ MATCH_KERNEL = 0.5
 #: equal.  Spots that a mirror symmetry makes equal come out of a transform
 #: with ~1e-15 of rounding noise, which must not pick the peak pixel.
 TIE_FRACTION = 1e-9
-#: Side of the first camera window tried, in pixels; each next is twice as wide.
+#: Side of the first camera window tried, in pixels.
 FIRST_WINDOW = 64
 
 # An ideal lattice for a positive charge points this far counterclockwise
@@ -163,18 +163,12 @@ def find_peaks(
         return PeakSet(())
 
     tie = TIE_FRACTION * gmax
-    padded = np.pad(img, 1, constant_values=-np.inf)
-    is_max = np.ones_like(img, dtype=bool)
-    n = grid.n
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            is_max &= img >= padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n] - tie
-    is_max &= img >= threshold_frac * gmax
-
-    rows, cols = np.nonzero(is_max)  # row-major
+    rows, cols = np.nonzero(img >= threshold_frac * gmax)  # row-major
     values = img[rows, cols]
+    padded = np.pad(img, 1, constant_values=-np.inf)
+    di, dj = np.divmod(np.delete(np.arange(9), 4), 3)  # the 8 neighbours, in padded
+    is_max = (values[:, None] >= padded[rows[:, None] + di, cols[:, None] + dj] - tie).all(1)
+    rows, cols, values = rows[is_max], cols[is_max], values[is_max]
     ranked = np.argsort(-values, kind="stable")
     level = np.cumsum(np.diff(values[ranked], prepend=values[ranked[0]]) < -tie)
     order = ranked[np.lexsort((ranked, level))]
@@ -289,13 +283,14 @@ def default_min_separation(
 def render_image(field: ScalarField, focal_length: float) -> tuple[np.ndarray, Grid]:
     """Camera image of a masked field through the lens.
 
-    Returns the far-field intensity on the smallest centred window
-    (``FIRST_WINDOW`` pixels wide, doubling up to the whole frame) whose
-    tail bound puts every pixel outside it below ``THRESHOLD_FRAC`` times
-    the window's maximum, and the far-field grid of that window.  The
-    global maximum and every peak candidate then lie inside, and a window
-    edge pixel's outside neighbors are below threshold, so ``find_peaks``
-    finds the same peaks in the window as in the whole frame.
+    Returns the far-field intensity on a centred window whose tail bound
+    puts every pixel outside it below ``THRESHOLD_FRAC`` times the
+    window's maximum, and the far-field grid of that window: the first
+    (``FIRST_WINDOW`` pixels wide), else the narrowest wider power of two
+    whose bound passes against a failed window's maximum, up to the whole
+    frame.  The global maximum and every peak candidate then lie inside,
+    and a window edge pixel's outside neighbors are below threshold, so
+    ``find_peaks`` finds the same peaks in the window as in the whole frame.
     """
     n = field.grid.n
     bound = window_tail_bound(field, focal_length)
@@ -303,10 +298,14 @@ def render_image(field: ScalarField, focal_length: float) -> tuple[np.ndarray, G
     while True:
         far = far_field(field, focal_length, m)
         img = intensity(far)
+        top = THRESHOLD_FRAC * float(img.max())
         # the margin covers the rounding of the bound and of the transform
-        if m == n or bound(m) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * float(img.max()):
+        if m == n or bound(m) ** 2 * (1.0 + 1e-9) < top:
             return img, far.grid
+        # a wider window holds this one, so skip the widths its maximum rules out
         m *= 2
+        while m < n and bound(m) ** 2 * (1.0 + 1e-9) >= top:
+            m *= 2
 
 
 class Camera:

@@ -240,10 +240,31 @@ def _lens_scale(field: ScalarField, focal_length: float) -> float:
     return field.grid.pitch**2 / (field.wavelength * focal_length)
 
 
+def _half_dft(a: np.ndarray, axis: slice, n: int, m: int) -> np.ndarray:
+    """W . a^T for ``far_field``'s W on the grid indices ``axis``, a's columns.
+    W[+-u] = C -+ iD for C and D the cosine and sine of W's phase, so one real
+    product [C; D] . a^T over u = 0..m/2, a^T read as interleaved real and
+    imaginary parts, gives the rows of u and -u at once: (C a^T)[u] -+ i (D a^T)[u]."""
+    a = a.T.copy()  # C-contiguous, so that it can be read as real numbers
+    h = m // 2
+    k = np.outer(np.arange(h + 1), np.arange(n)[axis] - n // 2)
+    k &= n - 1  # k mod n, as n is a power of two
+    angle = 2.0 * np.pi * np.arange(n) / n
+    trig = np.take(np.stack((np.cos(angle), np.sin(angle))), k, axis=1)
+    ca, da = np.split((trig.reshape(2 * h + 2, -1) @ a.view(float)).view(complex), 2)
+    del k, trig, a  # freed before the output is allocated
+    out = np.empty((m, ca.shape[1]), dtype=complex)  # u = -h..h-1: rows h.. hold u >= 0
+    np.add(ca.real[:h], da.imag[:h], out=out[h:].real)
+    np.subtract(ca.imag[:h], da.real[:h], out=out[h:].imag)
+    np.subtract(ca.real[h:0:-1], da.imag[h:0:-1], out=out[:h].real)
+    np.add(ca.imag[h:0:-1], da.real[h:0:-1], out=out[:h].imag)
+    return out
+
+
 def far_field(field: ScalarField, focal_length: float, m: int | None = None) -> ScalarField:
     """Focal-plane field of a thin lens placed at the input plane, on the
     centred m x m window of the n x n camera frame (the whole frame when
-    ``m`` is omitted).
+    ``m`` is omitted; a window is a power of two from 64 to n).
 
     The frame is the centred DFT of the field with output coordinates
     x' = wavelength * focal_length * spatial frequency, scaled so the whole
@@ -252,21 +273,18 @@ def far_field(field: ScalarField, focal_length: float, m: int | None = None) -> 
     Opt. Express 15, 15935 (2007)):
     W[u, p] = exp(-2 pi i ((u p) mod n) / n) for window frequency u in
     [-m/2, m/2) and box index p, both centred; reducing the integer
-    product mod n keeps the phase exact.  Every window has the frame's
-    pitch, so its coordinates are the frame's slice.
+    product mod n keeps the phase exact; W_rows . (W_cols . samples^T)^T
+    takes one real product (``_half_dft``) per factor.  Every window has
+    the frame's pitch, so its coordinates are the frame's slice.
     """
     scale = _lens_scale(field, focal_length)
     n = field.grid.n
     m = n if m is None else m
     if m > n:
         raise ValueError(f"window of {m} pixels exceeds the {n}-pixel grid")
-    phase = np.exp(-2j * np.pi * np.arange(n) / n)
-    u = np.arange(m) - m // 2
-
-    def dft(axis: slice) -> np.ndarray:
-        return phase[np.outer(u, np.arange(n)[axis] - n // 2) % n]
-
-    spectrum = dft(field.box[0]) @ field.samples @ dft(field.box[1]).T
+    if m < 64 or m & (m - 1):
+        raise ValueError(f"window of {m} pixels is not a power of two >= 64")
+    spectrum = _half_dft(_half_dft(field.samples, field.box[1], n, m), field.box[0], n, m)
     spectrum *= scale
     pitch = field.wavelength * focal_length / field.grid.window
     return ScalarField(spectrum, Grid(m, m * pitch), field.wavelength)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from oamcnot.hybrid import CNOT_MATRIX, HybridState
-from oamcnot.readout import ReadoutResult, classify_oam, render_image
+from oamcnot.readout import (
+    TIE_FRACTION,
+    Peak,
+    PeakSet,
+    ReadoutResult,
+    classify_oam,
+    render_image,
+)
 from oamcnot.wavefield import (
     FULL,
     ApertureSpec,
@@ -80,6 +87,68 @@ def fft_far_field(field: ScalarField, focal_length: float) -> ScalarField:
     lam_f = field.wavelength * focal_length
     spectrum *= field.grid.pitch**2 / lam_f
     return ScalarField(spectrum, Grid(n, n * lam_f / field.grid.window), field.wavelength)
+
+
+def matrix_far_field(field: ScalarField, focal_length: float, m: int | None = None) -> np.ndarray:
+    """``far_field``'s samples by its definition, in complex arithmetic: the
+    matrix DFT W_rows . samples . W_cols^T with
+    W[u, p] = exp(-2 pi i ((u p) mod n) / n) for u in [-m/2, m/2), times the
+    lens scale pitch^2 / (wavelength f)."""
+    n = field.grid.n
+    m = n if m is None else m
+    phase = np.exp(-2j * np.pi * np.arange(n) / n)
+    u = np.arange(m) - m // 2
+
+    def dft(axis: slice) -> np.ndarray:
+        return phase[np.outer(u, np.arange(n)[axis] - n // 2) % n]
+
+    spectrum = dft(field.box[0]) @ field.samples @ dft(field.box[1]).T
+    return spectrum * (field.grid.pitch**2 / (field.wavelength * focal_length))
+
+
+def full_image_find_peaks(
+    img: np.ndarray, threshold_frac: float, min_separation: float, grid: Grid
+) -> PeakSet:
+    """``find_peaks`` by its definition, for valid arguments: the 8-neighbour
+    local-maximum test (with ``TIE_FRACTION`` ties) on every pixel of the
+    image, then the threshold, the tie-aware ordering and the greedy
+    separation pruning."""
+    gmax = float(img.max())
+    if gmax <= 0.0:
+        return PeakSet(())
+    tie = TIE_FRACTION * gmax
+    padded = np.pad(img, 1, constant_values=-np.inf)
+    is_max = np.ones_like(img, dtype=bool)
+    n = grid.n
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            is_max &= img >= padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n] - tie
+    is_max &= img >= threshold_frac * gmax
+
+    rows, cols = np.nonzero(is_max)  # row-major
+    values = img[rows, cols]
+    ranked = np.argsort(-values, kind="stable")
+    level = np.cumsum(np.diff(values[ranked], prepend=values[ranked[0]]) < -tie)
+    order = ranked[np.lexsort((ranked, level))]
+    rows, cols, values = rows[order], cols[order], values[order]
+
+    coords = grid.coords()
+    xs, ys = coords[cols], coords[rows]
+    accepted: list[Peak] = []
+    ax: list[float] = []
+    ay: list[float] = []
+    min_sep_sq = min_separation**2
+    for x, y, v in zip(xs, ys, values):
+        if accepted:
+            d_sq = (np.array(ax) - x) ** 2 + (np.array(ay) - y) ** 2
+            if float(d_sq.min()) < min_sep_sq:
+                continue
+        accepted.append(Peak(float(x), float(y), float(v)))
+        ax.append(float(x))
+        ay.append(float(y))
+    return PeakSet(tuple(accepted))
 
 
 @pytest.fixture

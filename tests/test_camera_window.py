@@ -212,6 +212,77 @@ def test_window_chosen_at_the_reference_optics(ell, m, params, paper_aperture, d
     assert img.shape == (m, m) and grid.n == m
 
 
+def counting_windows(monkeypatch):
+    """The width of every window ``render_image`` renders, in order."""
+    widths = []
+    real = readout.far_field
+
+    def wrapper(field, focal_length, m=None):
+        widths.append(m)
+        return real(field, focal_length, m)
+
+    monkeypatch.setattr(readout, "far_field", wrapper)
+    return widths
+
+
+def test_a_wide_window_skips_the_widths_the_first_rules_out(
+    monkeypatch, params, paper_aperture, default_grid
+):
+    # at the reference optics |ell| = 8 fails at 64 pixels, and 128 fails
+    # against the 64-pixel window's maximum, so 128 is never rendered
+    widths = counting_windows(monkeypatch)
+    render_image(masked_box_field(default_grid, 8, paper_aperture, params), F)
+    assert widths == [64, 256]
+
+
+def doubling_width(field):
+    """The narrowest of 64, 128, ... that passes the acceptance test against
+    its own maximum, every narrower one rendered and refused."""
+    bound = window_tail_bound(field, F)
+    m = 64
+    while m < field.grid.n:
+        top = THRESHOLD_FRAC * float(intensity(far_field(field, F, m)).max())
+        if bound(m) ** 2 * (1.0 + 1e-9) < top:
+            break
+        m *= 2
+    return m
+
+
+@pytest.mark.parametrize("ell", range(-10, 11))
+def test_skipping_picks_the_doubling_width_at_the_reference_optics(ell, params, default_grid):
+    for degrees in range(0, 120, 10):
+        aperture = ApertureSpec(TRIANGLE, 2e-3, math.radians(degrees))
+        field = masked_box_field(default_grid, ell, aperture, params)
+        assert render_image(field, F)[1].n == doubling_width(field), degrees
+
+
+def test_a_window_whose_maximum_lies_past_the_first_still_holds_every_spot():
+    # A dim spot on the axis and a bright one at k_x = 40, outside the
+    # first window: the first window's maximum is the dim spot's, so the
+    # skip takes a window wider than the doubling rule's.  The window it
+    # returns still passes the acceptance test against its own maximum,
+    # which is the bright spot's, and nothing outside it reaches threshold.
+    n = 1024
+    grid = Grid(n, 8e-3)
+    box = (slice(384, 640), slice(384, 640))
+    x = np.arange(384, 640) - n // 2
+    envelope = np.exp(-((x[:, None] / 40.0) ** 2) - (x[None, :] / 40.0) ** 2)
+    samples = envelope * (0.5 + np.exp(2j * np.pi * 40 * x[None, :] / n))
+    field = ScalarField(samples, grid, 532e-9, box)
+    frame = intensity(fft_far_field(field, F))
+    top, centre = frame.max(), frame[n // 2 - 32 : n // 2 + 32, n // 2 - 32 : n // 2 + 32]
+    assert centre.max() < top
+
+    img, far_grid = render_image(field, F)
+    m = far_grid.n
+    assert doubling_width(field) < m < n
+    assert window_tail_bound(field, F)(m) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * img.max()
+    assert abs(img.max() - top) < 1e-12 * top
+    outside = frame.copy()
+    outside[n // 2 - m // 2 : n // 2 + m // 2, n // 2 - m // 2 : n // 2 + m // 2] = 0.0
+    assert outside.max() < THRESHOLD_FRAC * top
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     ell=st.integers(-10, 10),

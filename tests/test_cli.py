@@ -1,12 +1,15 @@
 import io
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oamcnot
 from oamcnot import circuit, readout, wavefield
 from oamcnot.circuit import format_circuit
 from oamcnot.cli import (
@@ -566,6 +569,38 @@ class TestFlags:
             main(argv, io.StringIO())
         assert err.value.code == EXIT_PARSE
         assert list(tmp_path.iterdir()) == []
+
+
+def fresh_process_report(argv):
+    """What ``oamcnot argv`` prints when it runs in a new interpreter."""
+    src = str(Path(oamcnot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "oamcnot.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return done.stdout
+
+
+class TestOneParserPerProcess:
+    """The parser is built once, at import; no call leaves anything in it."""
+
+    def test_truth_table_after_a_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["truth-table", *FAST, "--threshold", "0.3"], io.StringIO())
+        assert err.value.code == EXIT_PARSE
+        code, report = run_cli(["truth-table", *FAST])
+        assert code == EXIT_OK
+        assert report == fresh_process_report(["truth-table", *FAST])
+
+    def test_bell_after_readout_sweep(self):
+        assert run_cli(["readout-sweep", "--ell-min", "1", "--ell-max", "1", *FAST])[0] == EXIT_OK
+        code, report = run_cli(["bell"])
+        assert code == EXIT_OK
+        assert report == fresh_process_report(["bell"])
 
 
 class TestDeterminism:

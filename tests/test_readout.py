@@ -2,11 +2,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import mesh
+from conftest import full_image_find_peaks, mesh
 from oamcnot import readout
 from oamcnot.readout import (
+    TIE_FRACTION,
     AmbiguousOrientationError,
     ClassificationError,
     PeakSet,
@@ -132,6 +133,37 @@ class TestFindPeaks:
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert np.hypot(*(pts[i] - pts[j])) >= min_sep
+
+
+@st.composite
+def peak_images(draw):
+    """Plateaus (rectangles of one level, some cut by the border) whose
+    levels repeat, so that separate spots tie exactly, sometimes over a
+    background of 4 x 4 plateaus; then a jitter of about TIE_FRACTION, so
+    that near ties fall on both sides of the tie band."""
+    n = draw(st.sampled_from([64, 128]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a tenth of the background plateaus lit, at levels up to 0.32, or none
+    lit = rng.random((n // 4, n // 4)) < draw(st.sampled_from([0.0, 0.1]))
+    rough = 0.32 * rng.random((n // 4, n // 4)) * lit
+    img = np.kron(rough, np.ones((4, 4)))
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = rng.integers(-2, n, size=2)
+        h, w = rng.integers(1, 5, size=2)
+        img[max(i, 0) : i + h, max(j, 0) : j + w] = rng.choice([0.2, 0.3, 0.6, 1.0])
+    jitter = draw(st.sampled_from([0.0, 0.3, 0.9, 1.1, 3.0])) * TIE_FRACTION
+    return img * (1.0 + jitter * rng.integers(-2, 3, size=img.shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(img=peak_images(), threshold=st.sampled_from([0.3, 0.5]), sep_px=st.floats(2.0, 8.0))
+@example(img=np.zeros((64, 64)), threshold=0.3, sep_px=2.0)
+def test_peaks_are_the_full_image_definition(img, threshold, sep_px):
+    # testing only the pixels at or above threshold for a local maximum
+    # keeps every peak, value, tie and order of the full-image test
+    grid = Grid(img.shape[0], 8e-3)
+    got = find_peaks(img, threshold, sep_px * grid.pitch, grid)
+    assert got == full_image_find_peaks(img, threshold, sep_px * grid.pitch, grid)
 
 
 class TestCountSpotsPerSide:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import mesh
+from conftest import matrix_far_field, mesh
 from oamcnot.wavefield import (
+    FULL,
     ApertureSpec,
     CIRCLE,
     Grid,
@@ -285,9 +287,55 @@ class TestFarField:
             minus = intensity(far_field(apply_mask(lg_mode(fast_grid, -ell, W0, LAM), mask), F))
             assert np.max(np.abs(plus - point_reflect(minus))) / plus.max() < 1e-9
 
+    @pytest.mark.parametrize("m", [96, 32, 0, -64])
+    def test_window_not_a_power_of_two_is_refused_before_any_product(self, m):
+        field = lg_mode(Grid(128, 8e-3), 1, W0, LAM)
+        with pytest.raises(ValueError, match=f"window of {m} pixels is not a power of two"):
+            far_field(field, F, m)
+
     def test_bad_focal_length(self, fast_grid):
         with pytest.raises(ValueError, match="focal"):
             far_field(lg_mode(fast_grid, 0, W0, LAM), 0.0)
+
+
+@st.composite
+def lens_cases(draw):
+    """A grid, a window width, and a box of it: the whole grid, or odd- and
+    even-sized spans, some touching the grid's first or last sample."""
+    n = 2 ** draw(st.integers(6, 10))
+    m = 2 ** draw(st.integers(6, n.bit_length() - 1))
+    if draw(st.booleans()) and draw(st.booleans()):
+        return n, m, FULL
+
+    def span():
+        size = draw(st.integers(1, min(n, 160)))
+        start = draw(st.one_of(st.just(0), st.just(n - size), st.integers(0, n - size)))
+        return slice(start, start + size)
+
+    return n, m, (span(), span())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lens_cases(), seed=st.integers(0, 2**32 - 1))
+@example(case=(1024, 1024, FULL), seed=1)
+@example(case=(1024, 64, FULL), seed=2)
+@example(case=(64, 64, (slice(0, 1), slice(63, 64))), seed=3)
+@example(case=(256, 128, (slice(0, 255), slice(1, 256))), seed=4)
+def test_lens_is_its_matrix_dft_definition(case, seed):
+    # The real products of u and -u rows reproduce the complex matrix DFT
+    # on every window of every box shape, to rounding.
+    n, m, box = case
+    grid = Grid(n, 8e-3)
+    shape = tuple(len(range(n)[s]) for s in box)
+    rng = np.random.default_rng(seed)
+    field = ScalarField(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid, LAM, box
+    )
+    want = matrix_far_field(field, F, m)
+    got = far_field(field, F, m)
+    assert got.samples.dtype == complex and got.samples.flags.c_contiguous
+    assert got.samples.shape == (m, m) and got.grid.n == m
+    assert np.abs(got.samples - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestIntensityAndPower:
