@@ -42,10 +42,6 @@ from .wavefield import (
     window_tail_bound,
 )
 
-SIGN_POSITIVE = "+"
-SIGN_NEGATIVE = "-"
-SIGN_UNDEFINED = "undefined"
-
 #: Peak threshold as a fraction of the image maximum, fixed as the
 #: camera's optics are.
 THRESHOLD_FRAC = 0.3
@@ -90,20 +86,13 @@ class AmbiguousOrientationError(ReadoutError):
         self.score = score
 
 
-@dataclass(frozen=True)
-class Peak:
-    """One bright spot: physical position (meters) and image value."""
-
-    x: float
-    y: float
-    value: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeakSet:
-    """Peaks surviving the threshold and separation constraints."""
+    """Peaks surviving the threshold and separation constraints: a (k, 3)
+    array of (x, y, value) rows, positions in meters, in ``find_peaks``'
+    order.  Sets compare by identity; compare ``peaks`` with np.array_equal."""
 
-    peaks: tuple[Peak, ...]
+    peaks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,10 +109,10 @@ class ReadoutResult:
     @property
     def sign(self) -> str:
         if self.topological_charge > 0:
-            return SIGN_POSITIVE
+            return "+"
         if self.topological_charge < 0:
-            return SIGN_NEGATIVE
-        return SIGN_UNDEFINED
+            return "-"
+        return "undefined"
 
     @property
     def spots_per_side(self) -> int:
@@ -133,7 +122,7 @@ class ReadoutResult:
 def find_peaks(
     img: np.ndarray, threshold_frac: float, min_separation: float, grid: Grid
 ) -> PeakSet:
-    """Detect bright spots in an intensity image.
+    """Detect bright spots in an intensity image, one (x, y, value) row each.
 
     A spot is an 8-neighbor local maximum (no neighbor is larger) at or
     above ``threshold_frac`` times the global maximum, so every pixel of
@@ -160,7 +149,7 @@ def find_peaks(
 
     gmax = float(img.max())
     if gmax <= 0.0:
-        return PeakSet(())
+        return PeakSet(np.empty((0, 3)))
 
     tie = TIE_FRACTION * gmax
     rows, cols = np.nonzero(img >= threshold_frac * gmax)  # row-major
@@ -175,20 +164,17 @@ def find_peaks(
     rows, cols, values = rows[order], cols[order], values[order]
 
     coords = grid.coords()
-    xs, ys = coords[cols], coords[rows]
-    accepted: list[Peak] = []
-    ax: list[float] = []
-    ay: list[float] = []
+    accepted = np.empty((len(values), 3))
+    k = 0
     min_sep_sq = min_separation**2
-    for x, y, v in zip(xs, ys, values):
-        if accepted:
-            d_sq = (np.array(ax) - x) ** 2 + (np.array(ay) - y) ** 2
+    for x, y, v in zip(coords[cols], coords[rows], values):
+        if k:
+            d_sq = (accepted[:k, 0] - x) ** 2 + (accepted[:k, 1] - y) ** 2
             if float(d_sq.min()) < min_sep_sq:
                 continue
-        accepted.append(Peak(float(x), float(y), float(v)))
-        ax.append(float(x))
-        ay.append(float(y))
-    return PeakSet(tuple(accepted))
+        accepted[k] = x, y, v
+        k += 1
+    return PeakSet(accepted[:k])
 
 
 def count_spots_per_side(peaks: PeakSet) -> int:
@@ -249,7 +235,7 @@ def classify_oam(
     if magnitude == 0:
         return ReadoutResult(0, 0.0)
 
-    pts = np.array([[p.x, p.y] for p in peaks.peaks])
+    pts = peaks.peaks[:, :2]
     rel = pts - pts.mean(axis=0)
     rms = float(np.sqrt((rel**2).sum(axis=1).mean()))
 
@@ -313,15 +299,16 @@ class Camera:
     command renders.  Make one per command; nothing it holds outlives it.
 
     ``image`` is the only code that turns an aperture and an outcome into
-    an image.  Each aperture's mask is built once.  The +|ell| vortex
-    behind an aperture is rendered once onto the window ``render_image``
-    proves, and once onto the whole frame if that is asked for; a -|ell|
-    outcome is that image's point reflection.  The mask is real and
-    lg_mode(-ell) is the exact conjugate of lg_mode(ell), so
-    F_-(k) = conj(F_+(-k)).  The one row and column a window's reflection
-    wraps (k = -m/2) lie at |k| = m/2, which the tail bound puts below the
-    peak threshold in both images; the whole frame (m = n) is periodic and
-    wraps exactly.  A superposition is rendered on its own."""
+    an image, kept by (aperture, |ell|, weights, frame); each render builds
+    its own mask, a small cost beside the lens.  The +|ell| vortex behind
+    an aperture is rendered once onto the window ``render_image`` proves,
+    and once onto the whole frame if that is asked for; a -|ell| outcome
+    is that image's point reflection.  The mask is real and lg_mode(-ell)
+    is the exact conjugate of lg_mode(ell), so F_-(k) = conj(F_+(-k)).
+    The one row and column a window's reflection wraps (k = -m/2) lie at
+    |k| = m/2, which the tail bound puts below the peak threshold in both
+    images; the whole frame (m = n) is periodic and wraps exactly.  A
+    superposition, kept by its weights, is never reflected."""
 
     def __init__(self, grid: Grid, params: OpticalParams):
         # The lens scale pitch^2 / (wavelength f) lies between pitch^2 and
@@ -341,8 +328,7 @@ class Camera:
                 )
         self.grid = grid
         self.params = params
-        self._masks: dict[ApertureSpec, np.ndarray] = {}
-        self._images: dict[tuple[ApertureSpec | None, int, bool], tuple[np.ndarray, Grid]] = {}
+        self._images: dict[tuple, tuple[np.ndarray, Grid]] = {}
 
     def refuse(self, aperture: ApertureSpec | None, ell: int) -> Box:
         """The aperture's box (the whole grid without an aperture), after
@@ -365,10 +351,11 @@ class Camera:
         (None for none) and its far-field grid: on the window
         ``render_image`` proves, or with ``frame`` on the whole frame.
         With ``weights`` (w+, w-) the outcome is the superposition of the
-        +|ell| and -|ell| modes, w+ plus + w- conj(plus).  Every image it
-        returns is read-only, because outcomes of one key share theirs."""
-        key = aperture, abs(ell), frame
-        if weights is not None or key not in self._images:
+        +|ell| and -|ell| modes, w+ plus + w- conj(plus), whatever the
+        sign of ``ell``.  Every image it returns is read-only, because
+        outcomes of one key share theirs."""
+        key = aperture, abs(ell), weights, frame
+        if key not in self._images:
             # a key in the cache has passed the refusals, which depend on it alone
             box = self.refuse(aperture, ell)
             p = self.params
@@ -378,21 +365,17 @@ class Camera:
                 samples += weights[1] * field.samples.conj()
                 field = ScalarField(samples, self.grid, p.wavelength, box)
             if aperture is not None:
-                if aperture not in self._masks:
-                    self._masks[aperture] = aperture_mask(self.grid, aperture, box)
                 # no name holds the unmasked field, so it is freed before the lens runs
-                field = apply_mask(field, self._masks[aperture])
+                field = apply_mask(field, aperture_mask(self.grid, aperture, box))
             if frame:
                 far = far_field(field, p.focal_length)
                 rendered = intensity(far), far.grid
             else:
                 rendered = render_image(field, p.focal_length)
             rendered[0].setflags(write=False)
-            if weights is not None:
-                return rendered
             self._images[key] = rendered
         img, far_grid = self._images[key]
-        if ell < 0:
+        if ell < 0 and weights is None:
             img = point_reflect(img)
             img.setflags(write=False)
         return img, far_grid

@@ -4,7 +4,6 @@ import pytest
 from oamcnot.hybrid import CNOT_MATRIX, HybridState
 from oamcnot.readout import (
     TIE_FRACTION,
-    Peak,
     PeakSet,
     ReadoutResult,
     classify_oam,
@@ -112,10 +111,11 @@ def full_image_find_peaks(
     """``find_peaks`` by its definition, for valid arguments: the 8-neighbour
     local-maximum test (with ``TIE_FRACTION`` ties) on every pixel of the
     image, then the threshold, the tie-aware ordering and the greedy
-    separation pruning."""
+    separation pruning, which rebuilds the accepted positions as arrays for
+    every candidate."""
     gmax = float(img.max())
     if gmax <= 0.0:
-        return PeakSet(())
+        return PeakSet(np.empty((0, 3)))
     tie = TIE_FRACTION * gmax
     padded = np.pad(img, 1, constant_values=-np.inf)
     is_max = np.ones_like(img, dtype=bool)
@@ -136,7 +136,7 @@ def full_image_find_peaks(
 
     coords = grid.coords()
     xs, ys = coords[cols], coords[rows]
-    accepted: list[Peak] = []
+    accepted: list[tuple[float, float, float]] = []
     ax: list[float] = []
     ay: list[float] = []
     min_sep_sq = min_separation**2
@@ -145,10 +145,10 @@ def full_image_find_peaks(
             d_sq = (np.array(ax) - x) ** 2 + (np.array(ay) - y) ** 2
             if float(d_sq.min()) < min_sep_sq:
                 continue
-        accepted.append(Peak(float(x), float(y), float(v)))
+        accepted.append((float(x), float(y), float(v)))
         ax.append(float(x))
         ay.append(float(y))
-    return PeakSet(tuple(accepted))
+    return PeakSet(np.array(accepted).reshape(-1, 3))
 
 
 @pytest.fixture

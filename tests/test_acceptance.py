@@ -149,7 +149,7 @@ def test_criterion_5_aperture_separates_the_signs():
             assert result.magnitude == 1
             assert result.sign == ("+" if ell > 0 else "-")
             peaks = find_peaks(img, 0.3, 2 * out.grid.pitch, out.grid)
-            peak_sets[ell] = sorted((p.x, p.y) for p in peaks.peaks)
+            peak_sets[ell] = sorted(map(tuple, peaks.peaks[:, :2].tolist()))
             pitch = out.grid.pitch
         assert len(peak_sets[+1]) == len(peak_sets[-1]) == 3
         reflected = sorted((-x, -y) for (x, y) in peak_sets[-1])

@@ -8,8 +8,9 @@ the bound itself, and that a window reads out exactly as the full frame.
 "The full frame" is always the zero-padded FFT of ``conftest``, never the
 lens under test.  A command's ``readout.Camera`` reads a -|ell| outcome
 from the point reflection of the +|ell| window; the last tests check that
-it reads what the signed mode built without the camera reads, and that a
-camera shared by many circuits renders what a fresh one renders.
+it reads what the signed mode built without the camera reads, that a
+camera shared by many circuits renders what a fresh one renders, and that
+a superposition is rendered once per weights and never reflected.
 """
 
 from __future__ import annotations
@@ -314,9 +315,9 @@ def test_rounding_noise_does_not_pick_a_tied_peak(swap):
     img[30, 30], img[30, 31] = (1.0, 1.0 + 4e-16) if swap else (1.0 + 4e-16, 1.0)
     img[40, 40] = 0.5
     peaks = find_peaks(img, 0.3, 4 * grid.pitch, grid).peaks
-    assert [(p.x, p.y) for p in peaks] == [
-        (grid.coords()[30], grid.coords()[30]),
-        (grid.coords()[40], grid.coords()[40]),
+    assert peaks[:, :2].tolist() == [
+        [grid.coords()[30], grid.coords()[30]],
+        [grid.coords()[40], grid.coords()[40]],
     ]
 
 
@@ -532,3 +533,30 @@ def test_every_image_the_camera_returns_is_read_only(ell, weights, frame, params
         assert not img.flags.writeable
         with pytest.raises(ValueError):
             img[0, 0] = 1.0
+
+
+def test_a_superposition_is_rendered_once_per_weights_and_frame(
+    monkeypatch, params, paper_aperture
+):
+    # A superposition is kept under its weights, as a pure mode is under
+    # its |ell|: asked for again, on the window or the frame, it is the
+    # same read-only array, and other weights are a new render.
+    camera = Camera(Grid(128, 8e-3), params)
+    modes = counting_modes(monkeypatch)
+    for frame in (False, True):
+        first, _ = camera.image(paper_aperture, 2, (0.6, 0.8j), frame=frame)
+        again, _ = camera.image(paper_aperture, 2, (0.6, 0.8j), frame=frame)
+        assert again is first and not first.flags.writeable
+    assert modes == [2, 2]
+    camera.image(paper_aperture, 2, (0.8, 0.6j))
+    assert modes == [2, 2, 2]
+
+
+@pytest.mark.parametrize("frame", [False, True])
+def test_a_superposition_ignores_the_sign_of_ell(frame, params, paper_aperture):
+    # the weights say how much of each sign the outcome holds, so -|ell| is
+    # rendered as +|ell| and never reflected, on a fresh camera each
+    grid = Grid(128, 8e-3)
+    plus, plus_grid = Camera(grid, params).image(paper_aperture, 2, (0.6, 0.8j), frame=frame)
+    minus, minus_grid = Camera(grid, params).image(paper_aperture, -2, (0.6, 0.8j), frame=frame)
+    assert minus.tobytes() == plus.tobytes() and minus_grid == plus_grid

@@ -58,9 +58,9 @@ class TestFindPeaks:
         img = gaussian_spots(fast_grid, [(1e-3, -0.5e-3)])
         peaks = find_peaks(img, 0.3, 2 * fast_grid.pitch, fast_grid)
         assert len(peaks.peaks) == 1
-        peak = peaks.peaks[0]
-        assert abs(peak.x - 1e-3) <= fast_grid.pitch
-        assert abs(peak.y - (-0.5e-3)) <= fast_grid.pitch
+        x, y, _ = peaks.peaks[0]
+        assert abs(x - 1e-3) <= fast_grid.pitch
+        assert abs(y - (-0.5e-3)) <= fast_grid.pitch
 
     def test_two_spots_three_separations_apart(self, fast_grid):
         min_sep = 2 * fast_grid.pitch
@@ -79,7 +79,7 @@ class TestFindPeaks:
         img[c, c + 3] = 0.9
         peaks = find_peaks(img, 0.3, 5 * fast_grid.pitch, fast_grid)
         assert len(peaks.peaks) == 1
-        assert peaks.peaks[0].value == 1.0
+        assert peaks.peaks[0, 2] == 1.0
 
     def test_ordering_value_then_row_major(self, fast_grid):
         img = np.zeros((fast_grid.n, fast_grid.n))
@@ -87,15 +87,15 @@ class TestFindPeaks:
         img[10, 30] = 1.0
         img[10, 90] = 1.0
         peaks = find_peaks(img, 0.3, 2 * fast_grid.pitch, fast_grid)
-        values = [p.value for p in peaks.peaks]
+        values = peaks.peaks[:, 2].tolist()
         assert values == [1.0, 1.0, 0.8]
         first, second = peaks.peaks[0], peaks.peaks[1]
-        assert first.x < second.x  # ties broken row-major: column 30 before 90
+        assert first[0] < second[0]  # ties broken row-major: column 30 before 90
 
     def test_all_zero_image(self, fast_grid):
         img = np.zeros((fast_grid.n, fast_grid.n))
         peaks = find_peaks(img, 0.3, 2 * fast_grid.pitch, fast_grid)
-        assert peaks.peaks == ()
+        assert len(peaks.peaks) == 0
 
     def test_flat_top_keeps_its_first_pixel(self, fast_grid):
         # a spot whose top spans two equal pixels is one peak, not none
@@ -104,7 +104,7 @@ class TestFindPeaks:
         img[c, c] = img[c, c + 1] = 1.0
         peaks = find_peaks(img, 0.3, 2 * fast_grid.pitch, fast_grid)
         coords = fast_grid.coords()
-        assert [(p.x, p.y) for p in peaks.peaks] == [(coords[c], coords[c])]
+        assert peaks.peaks[:, :2].tolist() == [[coords[c], coords[c]]]
 
     def test_nan_rejected(self, fast_grid):
         img = np.zeros((fast_grid.n, fast_grid.n))
@@ -127,9 +127,9 @@ class TestFindPeaks:
         img, far_grid = far_intensity(2, fast_grid, paper_aperture)
         min_sep = 2 * far_grid.pitch
         peaks = find_peaks(img, 0.3, min_sep, far_grid)
-        values = np.array([p.value for p in peaks.peaks])
+        values = peaks.peaks[:, 2]
         assert (values >= 0.3 * img.max()).all()
-        pts = np.array([[p.x, p.y] for p in peaks.peaks])
+        pts = peaks.peaks[:, :2]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert np.hypot(*(pts[i] - pts[j])) >= min_sep
@@ -158,23 +158,26 @@ def peak_images(draw):
 @settings(max_examples=100, deadline=None)
 @given(img=peak_images(), threshold=st.sampled_from([0.3, 0.5]), sep_px=st.floats(2.0, 8.0))
 @example(img=np.zeros((64, 64)), threshold=0.3, sep_px=2.0)
+# a dense image: uniform noise keeps 877 peaks, so the pruning meets hundreds of accepted rows
+@example(img=np.random.default_rng(44).random((128, 128)), threshold=0.3, sep_px=3.0)
 def test_peaks_are_the_full_image_definition(img, threshold, sep_px):
     # testing only the pixels at or above threshold for a local maximum
     # keeps every peak, value, tie and order of the full-image test
     grid = Grid(img.shape[0], 8e-3)
     got = find_peaks(img, threshold, sep_px * grid.pitch, grid)
-    assert got == full_image_find_peaks(img, threshold, sep_px * grid.pitch, grid)
+    want = full_image_find_peaks(img, threshold, sep_px * grid.pitch, grid)
+    assert np.array_equal(got.peaks, want.peaks)
 
 
 class TestCountSpotsPerSide:
     @pytest.mark.parametrize("count,n_side", [(1, 1), (3, 2), (6, 3), (10, 4), (21, 6)])
     def test_triangular_counts(self, count, n_side):
-        peaks = PeakSet(tuple([None] * count))
+        peaks = PeakSet(np.zeros((count, 3)))
         assert count_spots_per_side(peaks) == n_side
 
     @pytest.mark.parametrize("count", [0, 2, 4, 5, 7, 11])
     def test_non_triangular_rejected(self, count):
-        peaks = PeakSet(tuple([None] * count))
+        peaks = PeakSet(np.zeros((count, 3)))
         with pytest.raises(ClassificationError) as err:
             count_spots_per_side(peaks)
         assert err.value.peak_count == count
@@ -252,7 +255,7 @@ class TestClassify:
                 params.wavelength, params.focal_length, paper_aperture.size, far_grid.pitch
             )
             positions = [
-                [(p.x, p.y) for p in find_peaks(img, threshold, min_sep, far_grid).peaks]
+                find_peaks(img, threshold, min_sep, far_grid).peaks[:, :2].tolist()
                 for threshold in (0.2, 0.3, 0.4)
             ]
             n_side = abs(ell) + 1
@@ -275,8 +278,9 @@ class TestClassify:
         assert a == b
         img, far_grid = far_intensity(2, fast_grid, paper_aperture)
         min_sep = 2 * far_grid.pitch
-        assert find_peaks(img, 0.3, min_sep, far_grid) == find_peaks(
-            img, 0.3, min_sep, far_grid
+        assert np.array_equal(
+            find_peaks(img, 0.3, min_sep, far_grid).peaks,
+            find_peaks(img, 0.3, min_sep, far_grid).peaks,
         )
 
     def test_hexagon_is_ambiguous(self, fast_grid, params, paper_aperture):

@@ -375,7 +375,7 @@ def test_resolution_stability():
         out = far_field(field, F)
         img = intensity(out)
         peaks = find_peaks(img, 0.3, 2.0 * out.grid.pitch, out.grid)
-        positions[n] = sorted((p.x, p.y) for p in peaks.peaks)
+        positions[n] = sorted(map(tuple, peaks.peaks[:, :2].tolist()))
         coarse_pitch = LAM * F / 8e-3
     assert len(positions[1024]) == len(positions[2048]) == 3
     for (x1, y1), (x2, y2) in zip(positions[1024], positions[2048]):
