@@ -164,17 +164,27 @@ def find_peaks(
     rows, cols, values = rows[order], cols[order], values[order]
 
     coords = grid.coords()
-    accepted = np.empty((len(values), 3))
-    k = 0
+    # An accepted peak closer than min_separation is at most `cell` pixels
+    # off on each axis: in the candidate's cell or one of the 8 around it.  A
+    # cell's key is row * width + column, and a width 3 above the column
+    # count keeps the keys of neighbours apart.
+    cell = math.ceil(min(grid.n, min_separation / grid.pitch))
+    width = grid.n // cell + 3
+    around = [di * width + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    keys = ((rows // cell) * width + cols // cell).tolist()
+    near: dict[int, list[tuple[float, float]]] = {}
+    accepted = []
     min_sep_sq = min_separation**2
-    for x, y, v in zip(coords[cols], coords[rows], values):
-        if k:
-            d_sq = (accepted[:k, 0] - x) ** 2 + (accepted[:k, 1] - y) ** 2
-            if float(d_sq.min()) < min_sep_sq:
-                continue
-        accepted[k] = x, y, v
-        k += 1
-    return PeakSet(accepted[:k])
+    for x, y, v, key in zip(coords[cols].tolist(), coords[rows].tolist(), values.tolist(), keys):
+        if any(
+            (px - x) * (px - x) + (py - y) * (py - y) < min_sep_sq
+            for o in around
+            for px, py in near.get(key + o, ())
+        ):
+            continue
+        near.setdefault(key, []).append((x, y))
+        accepted.append((x, y, v))
+    return PeakSet(np.array(accepted).reshape(-1, 3))
 
 
 def count_spots_per_side(peaks: PeakSet) -> int:
@@ -272,26 +282,25 @@ def render_image(field: ScalarField, focal_length: float) -> tuple[np.ndarray, G
     Returns the far-field intensity on a centred window whose tail bound
     puts every pixel outside it below ``THRESHOLD_FRAC`` times the
     window's maximum, and the far-field grid of that window: the first
-    (``FIRST_WINDOW`` pixels wide), else the narrowest wider power of two
-    whose bound passes against a failed window's maximum, up to the whole
-    frame.  The global maximum and every peak candidate then lie inside,
-    and a window edge pixel's outside neighbors are below threshold, so
-    ``find_peaks`` finds the same peaks in the window as in the whole frame.
+    (``FIRST_WINDOW`` pixels wide), else the narrowest even width whose
+    bound passes against the first window's maximum, up to the whole
+    frame.  That window holds the first, so its maximum is no lower and it
+    passes against its own: at most two renders.  The global maximum and
+    every peak candidate then lie inside, and a window edge pixel's
+    outside neighbors are below threshold, so ``find_peaks`` finds the
+    same peaks in the window as in the whole frame.
     """
     n = field.grid.n
     bound = window_tail_bound(field, focal_length)
-    m = FIRST_WINDOW
-    while True:
+    far = far_field(field, focal_length, FIRST_WINDOW)
+    img = intensity(far)
+    top = THRESHOLD_FRAC * float(img.max())
+    # the margin covers the rounding of the bound and of the transform
+    m = next((m for m in range(FIRST_WINDOW, n, 2) if bound(m) ** 2 * (1.0 + 1e-9) < top), n)
+    if m > FIRST_WINDOW:
         far = far_field(field, focal_length, m)
         img = intensity(far)
-        top = THRESHOLD_FRAC * float(img.max())
-        # the margin covers the rounding of the bound and of the transform
-        if m == n or bound(m) ** 2 * (1.0 + 1e-9) < top:
-            return img, far.grid
-        # a wider window holds this one, so skip the widths its maximum rules out
-        m *= 2
-        while m < n and bound(m) ** 2 * (1.0 + 1e-9) >= top:
-            m *= 2
+    return img, far.grid
 
 
 class Camera:

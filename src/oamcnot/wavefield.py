@@ -13,6 +13,7 @@ box onto a centred camera window, the whole frame being the widest one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -33,20 +34,26 @@ FULL: Box = (slice(None), slice(None))
 
 @dataclass(frozen=True)
 class Grid:
-    """Square sampling grid: ``n`` samples per side over a physical window."""
+    """Square sampling grid: ``n`` samples per side over a physical window.
+
+    A simulation grid is a power of two >= 64 wide, at pitch window / n.  A
+    camera window (``far_field``) is any even width from 64 and carries its
+    frame's pitch as ``step``: window / n can be an ulp off it, and its
+    coordinates must be the frame's slice."""
 
     n: int
     window: float
+    step: float | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 64 or (self.n & (self.n - 1)) != 0:
+        if self.step is None and (self.n < 64 or (self.n & (self.n - 1)) != 0):
             raise ValueError(f"grid size must be a power of two >= 64, got {self.n}")
         if not (np.isfinite(self.window) and self.window > 0):
             raise ValueError(f"window must be positive, got {self.window}")
 
     @property
     def pitch(self) -> float:
-        return self.window / self.n
+        return self.window / self.n if self.step is None else self.step
 
     def coords(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.pitch
@@ -264,7 +271,7 @@ def _half_dft(a: np.ndarray, axis: slice, n: int, m: int) -> np.ndarray:
 def far_field(field: ScalarField, focal_length: float, m: int | None = None) -> ScalarField:
     """Focal-plane field of a thin lens placed at the input plane, on the
     centred m x m window of the n x n camera frame (the whole frame when
-    ``m`` is omitted; a window is a power of two from 64 to n).
+    ``m`` is omitted; a window is any even width from 64 to n).
 
     The frame is the centred DFT of the field with output coordinates
     x' = wavelength * focal_length * spatial frequency, scaled so the whole
@@ -274,20 +281,20 @@ def far_field(field: ScalarField, focal_length: float, m: int | None = None) -> 
     W[u, p] = exp(-2 pi i ((u p) mod n) / n) for window frequency u in
     [-m/2, m/2) and box index p, both centred; reducing the integer
     product mod n keeps the phase exact; W_rows . (W_cols . samples^T)^T
-    takes one real product (``_half_dft``) per factor.  Every window has
-    the frame's pitch, so its coordinates are the frame's slice.
+    takes one real product (``_half_dft``) per factor.  Every window
+    carries the frame's pitch, so its coordinates are the frame's slice.
     """
     scale = _lens_scale(field, focal_length)
     n = field.grid.n
     m = n if m is None else m
     if m > n:
         raise ValueError(f"window of {m} pixels exceeds the {n}-pixel grid")
-    if m < 64 or m & (m - 1):
-        raise ValueError(f"window of {m} pixels is not a power of two >= 64")
+    if m < 64 or m % 2:
+        raise ValueError(f"window of {m} pixels is not an even width >= 64")
     spectrum = _half_dft(_half_dft(field.samples, field.box[1], n, m), field.box[0], n, m)
     spectrum *= scale
     pitch = field.wavelength * focal_length / field.grid.window
-    return ScalarField(spectrum, Grid(m, m * pitch), field.wavelength)
+    return ScalarField(spectrum, Grid(m, m * pitch, pitch), field.wavelength)
 
 
 def window_tail_bound(field: ScalarField, focal_length: float) -> Callable[[int], float]:

@@ -141,6 +141,20 @@ class TestWindowTransform:
             assert window.grid.pitch == full.grid.pitch
             assert np.array_equal(window.grid.coords(), full.grid.coords()[lo : lo + m])
 
+    def test_every_even_window_has_the_frames_coordinates(self, params, default_grid):
+        # window / m is an ulp off the frame's pitch at some widths (100,
+        # 110, 200, ...), so a window carries the frame's pitch itself and its
+        # coordinates are the frame's slice, bit for bit
+        n = default_grid.n
+        point = (slice(n // 2, n // 2 + 1),) * 2
+        field = ScalarField(np.ones((1, 1)), default_grid, params.wavelength, point)
+        frame = fft_far_field(field, F).grid
+        assert any((m * frame.pitch) / m != frame.pitch for m in range(64, n + 1, 2))
+        for m in range(64, n + 1, 2):
+            lo = n // 2 - m // 2
+            window = far_field(field, F, m).grid
+            assert window.coords().tobytes() == frame.coords()[lo : lo + m].tobytes(), m
+
     def test_window_wider_than_the_grid_is_refused(self, params):
         field = masked_box_field(Grid(128, 8e-3), 1, ApertureSpec(TRIANGLE, 2e-3), params)
         with pytest.raises(ValueError, match="exceeds"):
@@ -158,6 +172,18 @@ class TestWindowTransform:
         scale = np.abs(full.samples).max()
         assert np.abs(whole.samples - full.samples).max() < 1e-12 * scale
         assert whole.grid == full.grid
+
+
+def ring_maxima(img):
+    """The largest value of an even-sided, non-negative image on each centred
+    square ring: entry r (1 to m/2 for an m-wide image) over the pixels in
+    the centred 2r-wide window but not in the (2r - 2)-wide one; entry 0 is 0."""
+    m = img.shape[0]
+    d = np.arange(m) - m // 2
+    ring = np.maximum(-d, d + 1)  # the narrowest centred window holding an index is 2 ring wide
+    out = np.zeros(m // 2 + 1)
+    np.maximum.at(out, np.maximum.outer(ring, ring).ravel(), img.ravel())
+    return out
 
 
 @settings(max_examples=30, deadline=None)
@@ -179,15 +205,12 @@ def test_every_pixel_outside_a_window_is_within_its_bound(n, side_mm, waist_mm, 
     params = OpticalParams(beam_waist=waist_mm * 1e-3)
     aperture = ApertureSpec(TRIANGLE, side_mm * 1e-3, math.radians(degrees))
     field = masked_box_field(grid, ell, aperture, params)
-    img = intensity(fft_far_field(field, F))
+    rings = ring_maxima(intensity(fft_far_field(field, F)))
+    # beyond[r]: the largest pixel on ring r or outside it
+    beyond = np.maximum.accumulate(rings[::-1])[::-1]
     bound = window_tail_bound(field, F)
-    m = 64
-    while m < n:
-        outside = img.copy()
-        lo = n // 2 - m // 2
-        outside[lo : lo + m, lo : lo + m] = 0.0
-        assert outside.max() <= bound(m) ** 2
-        m *= 2
+    for m in range(64, n, 2):
+        assert beyond[m // 2 + 1] <= bound(m) ** 2, m
 
 
 def test_the_bound_is_tight_for_a_plane_wave_just_outside_the_window():
@@ -205,7 +228,7 @@ def test_the_bound_is_tight_for_a_plane_wave_just_outside_the_window():
 
 
 @pytest.mark.parametrize(
-    "ell, m", [(0, 64), (1, 64), (-2, 64), (3, 128), (-5, 128), (6, 256), (-8, 256), (10, 256)]
+    "ell, m", [(0, 64), (1, 64), (-2, 64), (3, 76), (-5, 124), (6, 132), (-8, 146), (10, 166)]
 )
 def test_window_chosen_at_the_reference_optics(ell, m, params, paper_aperture, default_grid):
     field = masked_box_field(default_grid, ell, paper_aperture, params)
@@ -229,11 +252,12 @@ def counting_windows(monkeypatch):
 def test_a_wide_window_skips_the_widths_the_first_rules_out(
     monkeypatch, params, paper_aperture, default_grid
 ):
-    # at the reference optics |ell| = 8 fails at 64 pixels, and 128 fails
-    # against the 64-pixel window's maximum, so 128 is never rendered
+    # at the reference optics |ell| = 8 fails at 64 pixels, and every even
+    # width up to 144 fails against the 64-pixel window's maximum, so the
+    # second window rendered is the last: 146, not the next power of two
     widths = counting_windows(monkeypatch)
     render_image(masked_box_field(default_grid, 8, paper_aperture, params), F)
-    assert widths == [64, 256]
+    assert widths == [64, 146]
 
 
 def doubling_width(field):
@@ -249,12 +273,33 @@ def doubling_width(field):
     return m
 
 
+def narrowest_passing_width(field, widest):
+    """The narrowest even width from 64 to ``widest`` whose window passes the
+    acceptance test against its own maximum, every one of them tried, or
+    None.  Each window's maximum is that of its centred rings in one
+    ``widest``-wide window, which holds them all."""
+    bound = window_tail_bound(field, F)
+    within = np.maximum.accumulate(ring_maxima(intensity(far_field(field, F, widest))))
+    for m in range(64, widest + 1, 2):
+        if bound(m) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * within[m // 2]:
+            return m
+    return None
+
+
 @pytest.mark.parametrize("ell", range(-10, 11))
-def test_skipping_picks_the_doubling_width_at_the_reference_optics(ell, params, default_grid):
+def test_skipping_picks_the_doubling_width_at_the_reference_optics(
+    monkeypatch, ell, params, default_grid
+):
+    # the window render_image takes, straight after the first, is the
+    # narrowest even width that passes against its own maximum
+    widths = counting_windows(monkeypatch)
     for degrees in range(0, 120, 10):
         aperture = ApertureSpec(TRIANGLE, 2e-3, math.radians(degrees))
         field = masked_box_field(default_grid, ell, aperture, params)
-        assert render_image(field, F)[1].n == doubling_width(field), degrees
+        widths.clear()
+        m = render_image(field, F)[1].n
+        assert widths == ([64] if m == 64 else [64, m]), degrees
+        assert narrowest_passing_width(field, m) == m, degrees
 
 
 def test_a_window_whose_maximum_lies_past_the_first_still_holds_every_spot():
@@ -304,6 +349,26 @@ def test_window_reads_out_as_the_full_frame(n, ell, degrees, side_mm, waist_mm):
 
     window = outcome(lambda: readout_roundtrip(ell, params, grid, aperture))
     assert window == outcome(full_frame)
+
+
+@pytest.mark.parametrize("ell, degrees", [(4, 0.0), (6, 15.0), (7, 0.0), (8, 0.0)])
+def test_a_window_two_off_a_multiple_of_four_reflects_to_the_negated_read(
+    ell, degrees, params, default_grid
+):
+    # A window 2 off a multiple of four has an odd half-width m/2.  The
+    # -|ell| read, from the point reflection of the +|ell| window, is still
+    # the +|ell| read negated, with the same score magnitude.
+    camera = Camera(default_grid, params)
+    aperture = ApertureSpec(TRIANGLE, 2e-3, math.radians(degrees))
+
+    def read(charge):
+        img, far_grid = camera.image(aperture, charge)
+        assert far_grid.n % 4 == 2
+        return classify_oam(img, aperture, far_grid, params)
+
+    plus, minus = read(ell), read(-ell)
+    assert minus.topological_charge == -plus.topological_charge == -ell
+    assert minus.orientation_score == -plus.orientation_score
 
 
 @pytest.mark.parametrize("swap", [False, True])

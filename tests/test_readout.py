@@ -169,6 +169,20 @@ def test_peaks_are_the_full_image_definition(img, threshold, sep_px):
     assert np.array_equal(got.peaks, want.peaks)
 
 
+@pytest.mark.parametrize("sep_px", [2.0, 2.5, 3.0, 7.9, 200.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_bucketed_pruning_keeps_the_pairwise_rules_peaks(seed, sep_px):
+    # find_peaks tests a candidate only against the accepted peaks in the 9
+    # cells around its own; on uniform noise, with over a thousand peaks at
+    # the narrowest separation, it keeps the rows of the rule that tests
+    # every candidate against every accepted peak
+    img = np.random.default_rng(seed).random((128, 128))
+    grid = Grid(128, 8e-3)
+    got = find_peaks(img, 0.3, sep_px * grid.pitch, grid)
+    want = full_image_find_peaks(img, 0.3, sep_px * grid.pitch, grid)
+    assert np.array_equal(got.peaks, want.peaks)
+
+
 class TestCountSpotsPerSide:
     @pytest.mark.parametrize("count,n_side", [(1, 1), (3, 2), (6, 3), (10, 4), (21, 6)])
     def test_triangular_counts(self, count, n_side):
