@@ -38,14 +38,6 @@ from .interferometer import MODE_LABELS, PAPER_DEFAULT, compose_mzi
 from .readout import Camera, ReadoutError, ReadoutResult, classify_oam
 from .wavefield import TRIANGLE, ApertureSpec
 
-_POL_LABELS = ("H", "V", "D", "A")
-_AXIS_BY_LABEL = {
-    "H": PolarizationAxis.HORIZONTAL,
-    "V": PolarizationAxis.VERTICAL,
-    "D": PolarizationAxis.DIAGONAL,
-    "A": PolarizationAxis.ANTIDIAGONAL,
-}
-
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _TOKEN_RE = re.compile(r"\S+")
@@ -54,12 +46,11 @@ _TOKEN_RE = re.compile(r"\S+")
 class ParseError(Exception):
     """Syntax or structure error, pointing at the first offending character."""
 
-    def __init__(self, line: int, column: int, message: str, token: str = ""):
+    def __init__(self, line: int, column: int, message: str):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
         self.message = message
-        self.token = token
 
 
 class ArgumentError(ValueError):
@@ -77,10 +68,11 @@ class Source:
     oam: int
 
     def __post_init__(self) -> None:
-        if self.pol not in _POL_LABELS:
-            raise ArgumentError(
-                "pol", f"pol must be one of {', '.join(_POL_LABELS)}, got {self.pol!r}"
-            )
+        try:
+            PolarizationAxis(self.pol)
+        except ValueError:
+            labels = ", ".join(axis.value for axis in PolarizationAxis)
+            raise ArgumentError("pol", f"pol must be one of {labels}, got {self.pol!r}") from None
 
 
 @dataclass(frozen=True)
@@ -189,13 +181,13 @@ def _split_kv(
         key, sep, value = token.partition("=")
         key = key.lower()
         if not sep or not key:
-            raise ParseError(line_no, col, f"expected key=value, got {token!r}", token)
+            raise ParseError(line_no, col, f"expected key=value, got {token!r}")
         if key not in allowed:
-            raise ParseError(line_no, col, f"unknown parameter {key!r}", key)
+            raise ParseError(line_no, col, f"unknown parameter {key!r}")
         if key in seen:
-            raise ParseError(line_no, col, f"duplicate parameter {key!r}", key)
+            raise ParseError(line_no, col, f"duplicate parameter {key!r}")
         if not value:
-            raise ParseError(line_no, col, f"missing value for {key!r}", token)
+            raise ParseError(line_no, col, f"missing value for {key!r}")
         seen[key] = (value, col + len(key) + 1)
     return seen
 
@@ -250,11 +242,11 @@ def parse(text: str) -> Circuit:
         if message is None and kind is None:
             message = f"unknown keyword {kw_token!r}"
         if message is not None:
-            raise ParseError(line_no, kw_col, message, kw_token)
+            raise ParseError(line_no, kw_col, message)
 
         if kind is Polarizer:
             if not args:
-                raise ParseError(line_no, kw_col, "POLARIZER requires an axis (H or V)", kw_token)
+                raise ParseError(line_no, kw_col, "POLARIZER requires an axis (H or V)")
             found, extra = {"axis": args[0]}, args[1:]
         elif params:
             found, extra = _split_kv(args, line_no, tuple(p[0] for p in params)), []
@@ -262,7 +254,7 @@ def parse(text: str) -> Circuit:
             found, extra = {}, args
         if extra:
             token, col = extra[0]
-            raise ParseError(line_no, col, f"unexpected token {token!r}", token)
+            raise ParseError(line_no, col, f"unexpected token {token!r}")
 
         values = {}
         for key, field, convert, required in params:
@@ -271,14 +263,14 @@ def parse(text: str) -> Circuit:
                 try:
                     values[field] = convert(value)
                 except ValueError as exc:
-                    raise ParseError(line_no, col, str(exc), value) from None
+                    raise ParseError(line_no, col, str(exc)) from None
             elif required:
-                raise ParseError(line_no, kw_col, f"{kw} requires {key}=...", kw)
+                raise ParseError(line_no, kw_col, f"{kw} requires {key}=...")
         try:
             statements.append(kind(**values))
         except ArgumentError as exc:
             value, col = found[exc.parameter]
-            raise ParseError(line_no, col, str(exc), value) from None
+            raise ParseError(line_no, col, str(exc)) from None
 
     try:
         return Circuit(tuple(statements))
@@ -332,13 +324,11 @@ class LogicalRun:
     when there is none or a half-wave plate follows it.
 
     For a zero-charge source there is no sign qubit; the polarization
-    algebra then runs on a stand-in positive-sign state and
-    ``oam_is_zero`` marks the record.
+    algebra then runs on a stand-in positive-sign state of magnitude 1.
     """
 
     final_state: HybridState | None
     projections: tuple[ProjectionEvent, ...]
-    oam_is_zero: bool
     analyzer: PolarizationAxis | None
 
 
@@ -350,28 +340,26 @@ def _hwp_matrix(angle_deg: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def _source_state(source: Source) -> tuple[HybridState, bool]:
-    jones = _AXIS_BY_LABEL[source.pol].jones
-    oam_is_zero = source.oam == 0
-    magnitude = abs(source.oam) if not oam_is_zero else 1
+def _source_state(source: Source) -> HybridState:
+    """The source's basis state; a zero charge stands in as +1."""
+    jones = PolarizationAxis(source.pol).jones
     sign_bit = 1 if source.oam < 0 else 0
     oam_vec = np.zeros(2, dtype=complex)
     oam_vec[sign_bit] = 1.0
-    return HybridState(np.outer(jones, oam_vec).reshape(4), magnitude), oam_is_zero
+    return HybridState(np.outer(jones, oam_vec).reshape(4), abs(source.oam) or 1)
 
 
 def run_logical(circuit: Circuit) -> LogicalRun:
     """Evolve the hybrid state through the circuit, statement by statement."""
     projections: list[ProjectionEvent] = []
     state: HybridState | None = None
-    oam_is_zero = False
     analyzer: PolarizationAxis | None = None
 
     for stmt in circuit.statements:
         if isinstance(stmt, Source):
-            state, oam_is_zero = _source_state(stmt)
+            state = _source_state(stmt)
         elif isinstance(stmt, Polarizer):
-            analyzer = _AXIS_BY_LABEL[stmt.axis]
+            analyzer = PolarizationAxis(stmt.axis)
             # A zero-probability polarizer upstream leaves nothing to project.
             probability, state = (
                 (0.0, None) if state is None else project_polarization(state, analyzer)
@@ -387,7 +375,7 @@ def run_logical(circuit: Circuit) -> LogicalRun:
             state = HybridState(matrix @ state.amplitudes, state.oam_magnitude)
         # TriangleAperture and Detect do not act on the logical state.
 
-    return LogicalRun(state, tuple(projections), oam_is_zero, analyzer)
+    return LogicalRun(state, tuple(projections), analyzer)
 
 
 @dataclass(frozen=True)
@@ -454,7 +442,7 @@ def run_wave(circuit: Circuit, camera: Camera, *, full_frame: bool = False) -> W
     outcomes = []
     for axis, probability in outcome_axes(logical):
         charge, weights, expected = magnitude, None, 0
-        if not logical.oam_is_zero:
+        if magnitude:
             # the normalized OAM-sign amplitudes riding on the axis
             chi = axis.jones.conj() @ logical.final_state.amplitudes.reshape(2, 2)
             plus, minus = chi / np.linalg.norm(chi)

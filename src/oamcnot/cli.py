@@ -274,9 +274,7 @@ def cmd_simulate(circuit_path: str, config: RunConfig, camera: Camera, stream) -
     else:
         amps = ",".join(_fmt_complex(a) for a in logical.final_state.amplitudes)
         lines.append(f"final_amplitudes={amps}")
-        lines.append(
-            f"oam_magnitude={0 if logical.oam_is_zero else logical.final_state.oam_magnitude}"
-        )
+        lines.append(f"oam_magnitude={abs(circ.statements[0].oam)}")
     for event in logical.projections:
         lines.append(
             f"projection={event.axis.value},probability={event.probability!r}"

@@ -26,6 +26,7 @@ import numpy as np
 
 from .wavefield import (
     FULL,
+    MAX_CHARGE,
     ApertureSpec,
     Box,
     Grid,
@@ -68,10 +69,11 @@ class ReadoutError(RuntimeError):
 
 
 class ClassificationError(ReadoutError):
-    """Detected peak count is not a triangular number."""
+    """Detected peak count is not a triangular number, or is one whose
+    charge exceeds ``MAX_CHARGE``."""
 
-    def __init__(self, peak_count: int):
-        super().__init__(f"peak count {peak_count} is not triangular (1, 3, 6, 10, ...)")
+    def __init__(self, peak_count: int, reason: str = "is not triangular (1, 3, 6, 10, ...)"):
+        super().__init__(f"peak count {peak_count} {reason}")
         self.peak_count = peak_count
 
 
@@ -188,11 +190,18 @@ def find_peaks(
 
 
 def count_spots_per_side(peaks: PeakSet) -> int:
-    """Side length N of the triangular arrangement with T(N) = len(peaks)."""
+    """Side length N of the triangular arrangement with T(N) = len(peaks).
+    A count above T(MAX_CHARGE + 1) reads a charge no source can carry."""
     count = len(peaks.peaks)
     if count >= 1:
         n_side = (math.isqrt(8 * count + 1) - 1) // 2
         if n_side * (n_side + 1) // 2 == count:
+            if n_side - 1 > MAX_CHARGE:
+                raise ClassificationError(
+                    count,
+                    f"is T({n_side}): |ell| = {n_side - 1} "
+                    f"exceeds the supported range {MAX_CHARGE}",
+                )
             return n_side
     raise ClassificationError(count)
 

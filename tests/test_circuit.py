@@ -281,9 +281,8 @@ class TestRunLogical:
         assert [(e.axis.value, e.probability) for e in run.projections] == [("V", 0.0), ("H", 0.0)]
         assert run.final_state is None and run.analyzer is PolarizationAxis.HORIZONTAL
 
-    def test_zero_charge_marks_record(self):
+    def test_zero_charge_runs_the_polarization_algebra(self):
         run = run_logical(parse("SOURCE pol=H oam=0\nHWP angle=45\nPOLARIZER V"))
-        assert run.oam_is_zero
         (event,) = run.projections
         assert abs(event.probability - 1.0) < 1e-12
 

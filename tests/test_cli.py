@@ -226,6 +226,18 @@ class TestSimulate:
         errors = [[ln for ln in r.splitlines() if ln.startswith("wave_error=")] for r in reports]
         assert errors[0] == errors[1] and len(errors[0]) == 1
 
+    def test_lattice_read_above_max_charge_is_a_wave_error(self, tmp_path):
+        # at 256^2 and a 0.6 mm waist this |ell| = 10 image shows 78 = T(12) peaks
+        circ = tmp_path / "ell10.circ"
+        circ.write_text("SOURCE pol=H oam=10\nTRIAPERTURE side=1 orientation=36.22\nDETECT\n")
+        code, report = run_cli(["simulate", str(circ), *FAST, "--waist-mm", "0.6"])
+        assert code == EXIT_MISMATCH
+        assert report_values(report, "wave_error") == [
+            "peak count 78 is T(12): |ell| = 11 exceeds the supported range 10"
+        ]
+        assert "outcome_magnitude=11" not in report
+        assert report.endswith("status=mismatch\n")
+
     def test_parse_error_position_and_exit(self, tmp_path):
         circ = tmp_path / "bad.circ"
         circ.write_text("SOURCE pol=H oam=1\nHWP angle=abc\n")

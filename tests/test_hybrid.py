@@ -206,7 +206,7 @@ class TestProjection:
 @pytest.mark.parametrize("pol", ["H", "V", "D", "A"])
 @pytest.mark.parametrize("oam", [3, 0, -3])
 def test_source_state_equals_the_kronecker_product(pol, oam):
-    state, _ = _source_state(Source(pol, oam))
+    state = _source_state(Source(pol, oam))
     oam_vec = np.array([1.0, 0.0] if oam >= 0 else [0.0, 1.0], dtype=complex)
     jones = PolarizationAxis(pol).jones
     assert np.array_equal(state.amplitudes, np.kron(jones, oam_vec))

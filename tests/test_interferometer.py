@@ -189,7 +189,7 @@ class TestComposedOnce:
     def test_run_logical_pushes_no_state_through_the_elements(self, monkeypatch):
         text = "SOURCE pol=D oam=-2\nMZI_CNOT\nMZI_CNOT mode=strict-parity\nMZI_CNOT"
         circuit = parse(text)
-        amps = _source_state(circuit.statements[0])[0].amplitudes
+        amps = _source_state(circuit.statements[0]).amplitudes
         for mode in (PAPER_DEFAULT, STRICT_PARITY, PAPER_DEFAULT):
             amps = _compose(mode) @ amps
 

@@ -20,6 +20,7 @@ from oamcnot.readout import (
     render_image,
 )
 from oamcnot.wavefield import (
+    MAX_CHARGE,
     ApertureSpec,
     Grid,
     OpticalParams,
@@ -184,7 +185,9 @@ def test_bucketed_pruning_keeps_the_pairwise_rules_peaks(seed, sep_px):
 
 
 class TestCountSpotsPerSide:
-    @pytest.mark.parametrize("count,n_side", [(1, 1), (3, 2), (6, 3), (10, 4), (21, 6)])
+    @pytest.mark.parametrize(
+        "count,n_side", [(1, 1), (3, 2), (6, 3), (10, 4), (21, 6), (66, MAX_CHARGE + 1)]
+    )
     def test_triangular_counts(self, count, n_side):
         peaks = PeakSet(np.zeros((count, 3)))
         assert count_spots_per_side(peaks) == n_side
@@ -195,6 +198,15 @@ class TestCountSpotsPerSide:
         with pytest.raises(ClassificationError) as err:
             count_spots_per_side(peaks)
         assert err.value.peak_count == count
+
+    @pytest.mark.parametrize("count", [78, 91])
+    def test_triangular_count_above_max_charge_rejected(self, count):
+        # T(12) and T(13) would read |ell| = 11 and 12, charges no source carries
+        peaks = PeakSet(np.zeros((count, 3)))
+        with pytest.raises(ClassificationError) as err:
+            count_spots_per_side(peaks)
+        assert err.value.peak_count == count
+        assert str(err.value).endswith(f"exceeds the supported range {MAX_CHARGE}")
 
 
 @pytest.mark.parametrize(
