@@ -12,11 +12,11 @@ case-insensitive.
     TRIAPERTURE side=<real mm> [orientation=<real deg>]
     DETECT
 
-Exactly one SOURCE, and it comes first.  At most one DETECT, last if
-present.  A zero OAM charge cannot drive MZI_CNOT (there is no sign bit
-to act on).  The half-wave plate takes the physical plate angle: a plate
-at angle theta rotates linear polarization by 2*theta, so 22.5 degrees
-implements the polarization Hadamard.
+Exactly one SOURCE, and it comes first.  At most one TRIAPERTURE.  At
+most one DETECT, last if present.  A zero OAM charge cannot drive
+MZI_CNOT (there is no sign bit to act on).  The half-wave plate takes the
+physical plate angle: a plate at angle theta rotates linear polarization
+by 2*theta, so 22.5 degrees implements the polarization Hadamard.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .hybrid import (
     project_polarization,
 )
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, compose_mzi
-from .readout import Camera, ReadoutError, ReadoutResult, classify_oam
+from .readout import Camera, ReadoutResult, classify_oam
 from .wavefield import TRIANGLE, ApertureSpec
 
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
@@ -138,6 +138,8 @@ def _placement_error(before: Sequence[Statement], kind: type | None) -> str | No
         return "statement after DETECT"
     if kind is Source:
         return "duplicate SOURCE"
+    if kind is TriangleAperture and any(isinstance(s, TriangleAperture) for s in before):
+        return "duplicate TRIAPERTURE"
     if kind is MziCnot and before[0].oam == 0:
         return "MZI_CNOT needs a nonzero OAM charge"
     return None
@@ -382,16 +384,16 @@ def run_logical(circuit: Circuit) -> LogicalRun:
 class WaveOutcome:
     """One polarization outcome at the camera.  ``intensity_map`` is the
     whole camera frame, read-only, when the outcome is written, else None.
-    ``readout`` is None unless the circuit has TRIAPERTURE and DETECT, and
-    the ReadoutError of an OAM superposition the classifier cannot read.
     ``expected`` is the signed charge the readout must give (0 for a
     zero-charge source), or None when the outcome's OAM is a genuine
-    superposition: this is the one judge of every command's readouts."""
+    superposition: this is the one judge of every command's readouts.
+    ``readout`` is None unless the circuit has TRIAPERTURE and DETECT and
+    ``expected`` is not None: the triangle names a single vortex mode."""
 
     axis: PolarizationAxis
     probability: float
     intensity_map: np.ndarray | None
-    readout: ReadoutResult | ReadoutError | None
+    readout: ReadoutResult | None
     expected: int | None
 
 
@@ -425,15 +427,15 @@ def outcome_axes(run: LogicalRun) -> list[tuple[PolarizationAxis, float]]:
 
 def run_wave(circuit: Circuit, camera: Camera, *, full_frame: bool = False) -> WaveRun:
     """Each polarization outcome at the camera, rendered only when it is
-    read out (the circuit has TRIAPERTURE and DETECT) or written
-    (``full_frame``: the whole frame).  A readout is always read from the
-    camera window, never from the frame.  An outcome left unrendered is
-    refused as a rendered one would be, by the camera's refusal step
-    alone; a blocked beam is not refused.  An outcome that carries one
-    vortex mode is that mode's image; one that carries both is their
-    superposition.  A mode whose weight is exactly zero is not carried;
-    a sign whose weight is above 1 - 1e-9 is the expected charge.
-    A ReadoutError is raised only for an outcome with an expected charge."""
+    read out (the circuit has TRIAPERTURE and DETECT, and the outcome an
+    expected charge) or written (``full_frame``: the whole frame).  A
+    readout is always read from the camera window, never from the frame.
+    An outcome left unrendered is refused as a rendered one would be, by
+    the camera's refusal step alone; a blocked beam is not refused.  An
+    outcome that carries one vortex mode is that mode's image; one that
+    carries both is their superposition, written but never read.  A mode
+    whose weight is exactly zero is not carried; a sign whose weight is
+    above 1 - 1e-9 is the expected charge."""
     aperture_stmt = circuit.first_of(TriangleAperture)
     aperture = None if aperture_stmt is None else aperture_stmt.spec
     reads_out = aperture is not None and circuit.first_of(Detect) is not None
@@ -452,20 +454,13 @@ def run_wave(circuit: Circuit, camera: Camera, *, full_frame: bool = False) -> W
                 weights = plus, minus
             plus_only, minus_only = (abs(w) ** 2 > 1.0 - 1e-9 for w in (plus, minus))
             expected = magnitude if plus_only else -magnitude if minus_only else None
-        if not (reads_out or full_frame):
+        reads = reads_out and expected is not None
+        if not (reads or full_frame):
             camera.refuse(aperture, magnitude)
-            outcomes.append(WaveOutcome(axis, probability, None, None, expected))
-            continue
         readout = None
-        if reads_out:
+        if reads:
             img, far_grid = camera.image(aperture, charge, weights)
-            try:
-                readout = classify_oam(img, aperture, far_grid, camera.params)
-            except ReadoutError as exc:
-                if expected is not None:
-                    raise
-                # the traceback would keep the classifier's arrays alive
-                readout = exc.with_traceback(None)
+            readout = classify_oam(img, aperture, far_grid, camera.params)
         frame = camera.image(aperture, charge, weights, frame=True)[0] if full_frame else None
         outcomes.append(WaveOutcome(axis, probability, frame, readout, expected))
     return WaveRun(logical, tuple(outcomes))

@@ -282,7 +282,8 @@ def cmd_simulate(circuit_path: str, config: RunConfig, camera: Camera, stream) -
 
     status = "ok"
     has_aperture = circ.first_of(dsl.TriangleAperture) is not None
-    if not has_aperture or circ.first_of(dsl.Detect) is None:
+    reads_out = has_aperture and circ.first_of(dsl.Detect) is not None
+    if not reads_out:
         lines.append(f"readout=none (missing {'DETECT' if has_aperture else 'TRIAPERTURE'})")
         status = "no-readout"
     if wave_error is not None:
@@ -292,19 +293,17 @@ def cmd_simulate(circuit_path: str, config: RunConfig, camera: Camera, stream) -
         lines.append(f"outcome_axis={outcome.axis.value}")
         lines.append(f"outcome_probability={outcome.probability!r}")
         result = outcome.readout
-        if isinstance(result, ReadoutError):
-            lines.append(f"outcome_readout_error={result}")
-            lines.append("outcome_agreement=n/a")
-        elif result is not None:
-            expected, got = outcome.expected, result.topological_charge
-            agreement = "n/a" if expected is None else ("yes" if got == expected else "no")
-            if agreement == "no":
+        if result is not None:
+            agrees = result.topological_charge == outcome.expected
+            if not agrees:
                 status = "mismatch"
             lines.append(f"outcome_sign={result.sign}")
             lines.append(f"outcome_magnitude={result.magnitude}")
             lines.append(f"outcome_spots_per_side={result.spots_per_side}")
             lines.append(f"outcome_orientation_score={result.orientation_score:.9f}")
-            lines.append(f"outcome_agreement={agreement}")
+            lines.append(f"outcome_agreement={'yes' if agrees else 'no'}")
+        elif reads_out:
+            lines.append("outcome_readout=none (OAM superposition of both signs)")
         path = _save_outputs(outcome.intensity_map, f"simulate_{outcome.axis.value}", config)
         if path is not None:
             lines.append(f"outcome_image={path}")

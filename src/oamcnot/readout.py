@@ -326,7 +326,9 @@ class Camera:
     The one row and column a window's reflection wraps (k = -m/2) lie at
     |k| = m/2, which the tail bound puts below the peak threshold in both
     images; the whole frame (m = n) is periodic and wraps exactly.  A
-    superposition, kept by its weights, is never reflected."""
+    superposition, kept by its weights, is never reflected; ``run_wave``
+    renders its frame to write it, but a window only for an outcome read
+    as one sign whose other sign carries a nonzero residue below 1e-9."""
 
     def __init__(self, grid: Grid, params: OpticalParams):
         # The lens scale pitch^2 / (wavelength f) lies between pitch^2 and

@@ -46,15 +46,17 @@ def circuits(draw):
     body = st.one_of(
         st.builds(Hwp, finite_floats(min_value=-1e6, max_value=1e6)),
         st.builds(Polarizer, st.sampled_from("HV")),
-        st.builds(
-            TriangleAperture,
-            finite_floats(min_value=1e-3, max_value=1e3),
-            finite_floats(min_value=-1e6, max_value=1e6),
-        ),
         *([st.builds(MziCnot, st.sampled_from(["paper-default", "strict-parity"]))]
           if oam != 0 else []),
     )
-    statements.extend(draw(st.lists(body, max_size=6)))
+    statements.extend(draw(st.lists(body, max_size=5)))
+    if draw(st.booleans()):  # a circuit holds at most one aperture, anywhere after SOURCE
+        aperture = st.builds(
+            TriangleAperture,
+            finite_floats(min_value=1e-3, max_value=1e3),
+            finite_floats(min_value=-1e6, max_value=1e6),
+        )
+        statements.insert(draw(st.integers(1, len(statements))), draw(aperture))
     if draw(st.booleans()):
         statements.append(Detect())
     return Circuit(tuple(statements))
@@ -106,6 +108,7 @@ class TestParse:
             ("DETECT", 1, 1),                                    # SOURCE not first
             ("SOURCE pol=H oam=0\nMZI_CNOT", 2, 1),              # no sign to act on
             ("SOURCE pol=H oam=1\nSOURCE pol=V oam=1", 2, 1),    # duplicate SOURCE
+            ("SOURCE pol=H oam=1\nTRIAPERTURE side=2\nTRIAPERTURE side=3", 3, 1),  # duplicate
             ("SOURCE pol=H oam=1\n  BOGUS x=1", 2, 3),           # unknown keyword
             ("SOURCE pol=Q oam=1", 1, 12),                       # bad pol label
             ("SOURCE pol=H oam=x1", 1, 18),                      # malformed integer
@@ -217,6 +220,7 @@ class TestCircuitInvariants:
     @example([])
     @example([Hwp(1.0), Source("H", 1)])
     @example([Source("H", 1), Source("V", 1)])
+    @example([Source("H", 1), TriangleAperture(2.0), TriangleAperture(3.0)])
     @example([Source("H", 1), Detect(), Hwp(1.0)])
     @example([Source("H", 1), Detect(), Detect()])
     @example([Source("H", 0), MziCnot()])

@@ -260,7 +260,16 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "line 2, column 16: byte 0xe9 is not UTF-8" in report
 
-    def test_unreadable_superposition_is_reported_without_an_agreement(self, tmp_path):
+    def assert_superposition_is_not_read(self, report):
+        assert report_values(report, "wave_error") == []
+        assert report_values(report, "outcome_readout") == [
+            "none (OAM superposition of both signs)"
+        ]
+        for key in ("outcome_sign", "outcome_magnitude", "outcome_agreement"):
+            assert report_values(report, key) == []
+        assert report.endswith("status=ok\n")
+
+    def test_superposition_is_reported_as_not_read(self, tmp_path):
         # H after the Hadamard holds both OAM signs equally: two spots, no lattice
         circ = tmp_path / "sup.circ"
         circ.write_text(
@@ -269,14 +278,21 @@ class TestSimulate:
         )
         code, report = run_cli(["simulate", str(circ), *FAST])
         assert code == EXIT_OK
-        assert report_values(report, "wave_error") == []
         assert report_values(report, "outcome_axis") == ["H"]
         assert report_values(report, "outcome_probability") == ["0.4999999999999999"]
-        (error,) = report_values(report, "outcome_readout_error")
-        assert error.startswith("peak count 2 is not triangular")
-        assert report_values(report, "outcome_agreement") == ["n/a"]
-        assert report_values(report, "outcome_sign") == []
-        assert report.endswith("status=ok\n")
+        self.assert_superposition_is_not_read(report)
+
+    def test_superposition_that_would_read_a_wrong_magnitude_is_not_read(self, tmp_path):
+        # mostly +3 with some -3: its lattice would read as magnitude 2
+        circ = tmp_path / "sup3.circ"
+        circ.write_text(
+            "SOURCE pol=H oam=3\nHWP angle=5\nMZI_CNOT\nHWP angle=30\nPOLARIZER H\n"
+            "TRIAPERTURE side=2\nDETECT\n"
+        )
+        code, report = run_cli(["simulate", str(circ), *FAST])
+        assert code == EXIT_OK
+        assert report_values(report, "outcome_axis") == ["H"]
+        self.assert_superposition_is_not_read(report)
 
     def test_missing_file(self, tmp_path):
         code, report = run_cli(["simulate", str(tmp_path / "nope.circ"), *FAST])
