@@ -12,7 +12,8 @@ case-insensitive.
     TRIAPERTURE side=<real mm> [orientation=<real deg>]
     DETECT
 
-Exactly one SOURCE, and it comes first.  At most one TRIAPERTURE.  At
+Exactly one SOURCE, and it comes first.  At most one TRIAPERTURE, after
+every HWP, MZI_CNOT and POLARIZER: the aperture stands at the camera.  At
 most one DETECT, last if present.  A zero OAM charge cannot drive
 MZI_CNOT (there is no sign bit to act on).  The half-wave plate takes the
 physical plate angle: a plate at angle theta rotates linear polarization
@@ -35,7 +36,7 @@ from .hybrid import (
     project_polarization,
 )
 from .interferometer import MODE_LABELS, PAPER_DEFAULT, compose_mzi
-from .readout import Camera, ReadoutResult, classify_oam
+from .readout import Camera, ReadoutResult
 from .wavefield import TRIANGLE, ApertureSpec
 
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
@@ -138,8 +139,11 @@ def _placement_error(before: Sequence[Statement], kind: type | None) -> str | No
         return "statement after DETECT"
     if kind is Source:
         return "duplicate SOURCE"
-    if kind is TriangleAperture and any(isinstance(s, TriangleAperture) for s in before):
-        return "duplicate TRIAPERTURE"
+    if isinstance(before[-1], TriangleAperture):  # only DETECT may follow one
+        if kind is TriangleAperture:
+            return "duplicate TRIAPERTURE"
+        if kind in (Hwp, MziCnot, Polarizer):
+            return f"{_FORMAT[kind][0]} after TRIAPERTURE; the aperture follows the optics"
     if kind is MziCnot and before[0].oam == 0:
         return "MZI_CNOT needs a nonzero OAM charge"
     return None
@@ -457,10 +461,7 @@ def run_wave(circuit: Circuit, camera: Camera, *, full_frame: bool = False) -> W
         reads = reads_out and expected is not None
         if not (reads or full_frame):
             camera.refuse(aperture, magnitude)
-        readout = None
-        if reads:
-            img, far_grid = camera.image(aperture, charge, weights)
-            readout = classify_oam(img, aperture, far_grid, camera.params)
+        readout = camera.read(aperture, charge, weights) if reads else None
         frame = camera.image(aperture, charge, weights, frame=True)[0] if full_frame else None
         outcomes.append(WaveOutcome(axis, probability, frame, readout, expected))
     return WaveRun(logical, tuple(outcomes))

@@ -5,7 +5,8 @@ The camera path is ``Camera.image``, the one way from an aperture and an
 outcome to an image (through ``render_image``: lens and intensity of a
 masked field, onto a centred camera window that provably holds every
 spot), and ``classify_oam`` (peaks at the fixed threshold and the
-lattice-based separation floor, then the vote).
+lattice-based separation floor, then the vote), which ``Camera.read``
+runs once per window it is asked to read.
 
 The pattern is a finite triangular lattice of bright spots; counting N
 spots on a side gives the magnitude |ell| = N - 1, and the lattice's
@@ -34,7 +35,6 @@ from .wavefield import (
     ScalarField,
     aperture_box,
     aperture_mask,
-    apply_mask,
     check_mode,
     far_field,
     intensity,
@@ -318,14 +318,16 @@ class Camera:
 
     ``image`` is the only code that turns an aperture and an outcome into
     an image, kept by (aperture, |ell|, weights, frame); each render builds
-    its own mask, a small cost beside the lens.  The +|ell| vortex behind
-    an aperture is rendered once onto the window ``render_image`` proves,
-    and once onto the whole frame if that is asked for; a -|ell| outcome
-    is that image's point reflection.  The mask is real and lg_mode(-ell)
-    is the exact conjugate of lg_mode(ell), so F_-(k) = conj(F_+(-k)).
-    The one row and column a window's reflection wraps (k = -m/2) lie at
-    |k| = m/2, which the tail bound puts below the peak threshold in both
-    images; the whole frame (m = n) is periodic and wraps exactly.  A
+    its own mask, a small cost beside the lens, into the mode's samples.
+    ``read`` classifies a window once per (aperture, ell, weights).  The
+    +|ell| vortex behind an aperture is rendered once onto the window
+    ``render_image`` proves, and once onto the whole frame if that is
+    asked for; a -|ell| outcome is that image's point reflection.  The
+    mask is real and lg_mode(-ell) is the exact conjugate of lg_mode(ell),
+    so F_-(k) = conj(F_+(-k)).  The one row and column a window's
+    reflection wraps (k = -m/2) lie at |k| = m/2, which the tail bound
+    puts below the peak threshold in both images; the whole frame (m = n)
+    is periodic and wraps exactly.  A
     superposition, kept by its weights, is never reflected; ``run_wave``
     renders its frame to write it, but a window only for an outcome read
     as one sign whose other sign carries a nonzero residue below 1e-9."""
@@ -349,6 +351,7 @@ class Camera:
         self.grid = grid
         self.params = params
         self._images: dict[tuple, tuple[np.ndarray, Grid]] = {}
+        self._readouts: dict[tuple, ReadoutResult] = {}
 
     def refuse(self, aperture: ApertureSpec | None, ell: int) -> Box:
         """The aperture's box (the whole grid without an aperture), after
@@ -379,14 +382,12 @@ class Camera:
             # a key in the cache has passed the refusals, which depend on it alone
             box = self.refuse(aperture, ell)
             p = self.params
-            field = lg_mode(self.grid, abs(ell), p.beam_waist, p.wavelength, box)
+            mask = None if aperture is None else aperture_mask(self.grid, aperture, box)
+            field = lg_mode(self.grid, abs(ell), p.beam_waist, p.wavelength, box, mask)
             if weights is not None:
                 samples = weights[0] * field.samples
                 samples += weights[1] * field.samples.conj()
                 field = ScalarField(samples, self.grid, p.wavelength, box)
-            if aperture is not None:
-                # no name holds the unmasked field, so it is freed before the lens runs
-                field = apply_mask(field, aperture_mask(self.grid, aperture, box))
             if frame:
                 far = far_field(field, p.focal_length)
                 rendered = intensity(far), far.grid
@@ -400,11 +401,21 @@ class Camera:
             img.setflags(write=False)
         return img, far_grid
 
+    def read(
+        self, aperture: ApertureSpec, ell: int, weights: tuple[complex, complex] | None = None
+    ) -> ReadoutResult:
+        """``classify_oam`` of the window ``image`` gives for these
+        arguments, classified once and kept by them; a refusal or a failed
+        classification is raised again on each call, not kept."""
+        key = aperture, ell, weights
+        if key not in self._readouts:
+            img, far_grid = self.image(aperture, ell, weights)
+            self._readouts[key] = classify_oam(img, aperture, far_grid, self.params)
+        return self._readouts[key]
+
 
 def readout_roundtrip(
     ell: int, params: OpticalParams, grid: Grid, aperture: ApertureSpec
 ) -> ReadoutResult:
-    """One charge read out on a camera of its own: the camera's image
-    behind the aperture, classified."""
-    img, far_grid = Camera(grid, params).image(aperture, ell)
-    return classify_oam(img, aperture, far_grid, params)
+    """One charge read out on a camera of its own."""
+    return Camera(grid, params).read(aperture, ell)

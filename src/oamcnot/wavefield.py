@@ -134,40 +134,51 @@ def check_mode(grid: Grid, ell: int, waist: float) -> None:
 
 
 def lg_mode(
-    grid: Grid, ell: int, waist: float, wavelength: float, box: Box = FULL
+    grid: Grid, ell: int, waist: float, wavelength: float, box: Box = FULL,
+    mask: np.ndarray | None = None,
 ) -> ScalarField:
     """Vortex mode of topological charge ``ell``, normalized to unit power
-    on the whole grid, sampled on ``box``; ``check_mode`` refuses it first.
+    on the whole grid, sampled on ``box`` and, given a ``mask`` of the box's
+    shape, multiplied by it in place; ``check_mode`` refuses it first.
 
     Amplitude (r sqrt2 / w0)^|ell| exp(-r^2/w0^2) with helical phase
-    exp(i ell phi); ell = 0 degenerates to a plain Gaussian.  Built as
-    ((x +- iy) sqrt2 / w0)^|ell| g(x) g(y), g(c) = exp(-c^2/w0^2), from the
-    1-D coordinates, so ``lg_mode(-ell)`` is the exact conjugate of
-    ``lg_mode(ell)`` and a box's samples are those of the whole grid.  The
+    exp(i ell phi); ell = 0 degenerates to a plain Gaussian.  With
+    s = sqrt2 / w0, g(c) = exp(-c^2/w0^2) and L = |ell|, the mode
+    (s (x +- iy))^L g(x) g(y) = sum_k C(L, k) (+-i)^(L-k) [(s x)^k g(x)] [(s y)^(L-k) g(y)]
+    is one real matrix product of 1-D factors (the normalization on x, the
+    coefficients on y) whose output columns alternate the real part (even
+    L - k) and the imaginary part (odd L - k).  It is stored as the
+    transpose of a C-ordered array: the samples are column-major, the
+    layout the lens reads in place.  ``lg_mode(-ell)`` negates the odd
+    terms, so it is the exact conjugate of ``lg_mode(ell)``.  A box's
+    samples are the whole grid's to within 2e-15 of the peak, the
+    product's rounding (1.3e-15 the largest seen for |ell| <= 10).  The
     power of the whole grid comes from 1-D sums, since
     |x + iy|^2L = sum_k C(L, k) x^2k y^2(L-k).
     """
     check_mode(grid, ell, waist)
+    big_l = abs(ell)
     c = grid.coords()
-    x, y = c[box[1]], c[box[0]]
     scaled = c * (np.sqrt(2.0) / waist)
-    if ell == 0:
-        field = np.ones((y.size, x.size), dtype=complex)
-    else:
-        sx, sy = scaled[box[1]], scaled[box[0]]
-        base = np.empty((y.size, x.size), dtype=complex)
-        base.real = sx[np.newaxis, :]
-        base.imag = (sy if ell > 0 else -sy)[:, np.newaxis]
-        field = base.copy() if abs(ell) > 1 else base
-        for _ in range(abs(ell) - 1):
-            field *= base
-    field *= np.exp(-((y / waist) ** 2))[:, np.newaxis]
-    field *= np.exp(-((x / waist) ** 2))[np.newaxis, :]
-    # moments[k] = sum over one axis of scaled^2k g^2
-    g_sq = np.exp(-((c / waist) ** 2)) ** 2
-    moments = [float(np.sum(scaled ** (2 * k) * g_sq)) for k in range(abs(ell) + 1)]
-    total = sum(math.comb(abs(ell), k) * a * moments[-1 - k] for k, a in enumerate(moments))
-    field /= np.sqrt(total * grid.pitch**2)
+    # powers[k] = scaled^k g, a running product over k
+    powers = np.empty((big_l + 1, grid.n))
+    powers[0] = np.exp(-((c / waist) ** 2))
+    for k in range(big_l):
+        np.multiply(powers[k], scaled, out=powers[k + 1])
+    moments = (powers * powers).sum(axis=1).tolist()  # sum of scaled^2k g^2
+    total = sum(math.comb(big_l, k) * a * moments[-1 - k] for k, a in enumerate(moments))
+    # C(L, k) (+-i)^(L-k), Gaussian integers held exactly
+    unit = 1j if ell >= 0 else -1j
+    coefficients = np.array([math.comb(big_l, k) * unit ** (big_l - k) for k in range(big_l + 1)])
+    x_factors = powers[:, box[1]] / np.sqrt(total * grid.pitch**2)
+    y_factors = (coefficients[:, np.newaxis] * powers[::-1, box[0]]).view(float)
+    out = np.empty((x_factors.shape[1], y_factors.shape[1] // 2), dtype=complex)
+    np.matmul(x_factors.T, y_factors, out=out.view(float))
+    field = out.T
+    if mask is not None:
+        if np.shape(mask) != field.shape:
+            raise ValueError(f"mask shape {np.shape(mask)} does not match the {field.shape} box")
+        field *= mask
     return ScalarField(field, grid, wavelength, box)
 
 
@@ -209,25 +220,27 @@ def aperture_box(grid: Grid, aperture: ApertureSpec) -> Box:
 
 
 def aperture_mask(grid: Grid, aperture: ApertureSpec, box: Box = FULL) -> np.ndarray:
-    """Binary transmission mask on ``box``, centroid on the optical axis.
+    """Binary transmission mask on ``box``, centroid on the optical axis:
+    a bool array, column-major as ``lg_mode``'s samples are.
 
-    A pixel transmits when its center falls inside the shape.  The
-    inequalities are evaluated on a row of x and a column of y, which
-    broadcast to the box.
+    A pixel transmits when its center falls inside the shape.  Each edge
+    of a triangle compares a column of x terms with a row of y terms, so it
+    builds the box's bools with no float temporary of the box's size.
     """
     vx, vy = _rim(grid, aperture)
     c = grid.coords()
-    x, y = c[box[1]][np.newaxis, :], c[box[0]][:, np.newaxis]
+    # [x index, y index], the transpose of the box
+    x, y = c[box[1]][:, np.newaxis], c[box[0]][np.newaxis, :]
     if aperture.shape == CIRCLE:
-        return (x**2 + y**2 <= (aperture.size / 2.0) ** 2).astype(float)
-    inside = np.ones((y.size, x.size), dtype=bool)
+        return (x**2 + y**2 <= (aperture.size / 2.0) ** 2).T
+    inside = np.ones((x.size, y.size), dtype=bool)
     for k in range(3):
         x1, y1 = vx[k], vy[k]
         x2, y2 = vx[(k + 1) % 3], vy[(k + 1) % 3]
         # Vertices are counterclockwise, so inside means a non-negative cross
-        # product against every edge.
-        inside &= (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0.0
-    return inside.astype(float)
+        # product against every edge; a - b >= 0 is a >= b in IEEE arithmetic.
+        inside &= (x2 - x1) * (y - y1) >= (y2 - y1) * (x - x1)
+    return inside.T
 
 
 def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
@@ -251,8 +264,11 @@ def _half_dft(a: np.ndarray, axis: slice, n: int, m: int) -> np.ndarray:
     """W . a^T for ``far_field``'s W on the grid indices ``axis``, a's columns.
     W[+-u] = C -+ iD for C and D the cosine and sine of W's phase, so one real
     product [C; D] . a^T over u = 0..m/2, a^T read as interleaved real and
-    imaginary parts, gives the rows of u and -u at once: (C a^T)[u] -+ i (D a^T)[u]."""
-    a = a.T.copy()  # C-contiguous, so that it can be read as real numbers
+    imaginary parts, gives the rows of u and -u at once: (C a^T)[u] -+ i (D a^T)[u].
+    a^T must be C-contiguous to be read so: a column-major ``a`` (``lg_mode``'s
+    samples) is read in place, a row-major one is copied.  The output is
+    row-major."""
+    a = np.ascontiguousarray(a.T)
     h = m // 2
     k = np.outer(np.arange(h + 1), np.arange(n)[axis] - n // 2)
     k &= n - 1  # k mod n, as n is a power of two
@@ -306,10 +322,11 @@ def window_tail_bound(field: ScalarField, focal_length: float) -> Callable[[int]
     of |f[i, j] - f[i, j-1]| over the zero-padded box).  A pixel outside
     the window has |k_x| >= m/2 or |k_y| >= m/2, so
     |F| <= scale max(TV_x, TV_y) / (2 sin(pi m / 2n)).  The variation is
-    summed once, here.
+    summed once, here, on whichever of the samples and their transpose is
+    C-contiguous: the maximum over both axes is the same on either.
     """
     scale = _lens_scale(field, focal_length)
-    f = field.samples
+    f = field.samples if field.samples.flags.c_contiguous else field.samples.T
     # the zero padding adds the first and last samples along the axis
     variation = max(
         float(np.abs(np.diff(f, axis=axis)).sum() + np.abs(f.take([0, -1], axis=axis)).sum())

@@ -50,13 +50,13 @@ def circuits(draw):
           if oam != 0 else []),
     )
     statements.extend(draw(st.lists(body, max_size=5)))
-    if draw(st.booleans()):  # a circuit holds at most one aperture, anywhere after SOURCE
+    if draw(st.booleans()):  # a circuit holds at most one aperture, after the optics
         aperture = st.builds(
             TriangleAperture,
             finite_floats(min_value=1e-3, max_value=1e3),
             finite_floats(min_value=-1e6, max_value=1e6),
         )
-        statements.insert(draw(st.integers(1, len(statements))), draw(aperture))
+        statements.append(draw(aperture))
     if draw(st.booleans()):
         statements.append(Detect())
     return Circuit(tuple(statements))
@@ -109,6 +109,9 @@ class TestParse:
             ("SOURCE pol=H oam=0\nMZI_CNOT", 2, 1),              # no sign to act on
             ("SOURCE pol=H oam=1\nSOURCE pol=V oam=1", 2, 1),    # duplicate SOURCE
             ("SOURCE pol=H oam=1\nTRIAPERTURE side=2\nTRIAPERTURE side=3", 3, 1),  # duplicate
+            ("SOURCE pol=V oam=1\nTRIAPERTURE side=2\nMZI_CNOT", 3, 1),  # aperture first
+            ("SOURCE pol=V oam=1\nTRIAPERTURE side=2\n  HWP angle=1", 3, 3),  # aperture first
+            ("SOURCE pol=V oam=1\nTRIAPERTURE side=2\nPOLARIZER V", 3, 1),  # aperture first
             ("SOURCE pol=H oam=1\n  BOGUS x=1", 2, 3),           # unknown keyword
             ("SOURCE pol=Q oam=1", 1, 12),                       # bad pol label
             ("SOURCE pol=H oam=x1", 1, 18),                      # malformed integer
@@ -215,6 +218,14 @@ class TestCircuitInvariants:
         with pytest.raises(ValueError, match="nonzero"):
             Circuit((Source("H", 0), MziCnot()))
 
+    @pytest.mark.parametrize("optic", [Hwp(22.5), MziCnot(), Polarizer("V")])
+    def test_aperture_must_follow_the_optics(self, optic):
+        # The camera reads the aperture's diffraction of the final field, so
+        # an aperture before an optic would be read as if it stood after it.
+        with pytest.raises(ValueError, match="after TRIAPERTURE"):
+            Circuit((Source("V", 1), TriangleAperture(2.0, 10.0), optic, Detect()))
+        assert Circuit((Source("V", 1), optic, TriangleAperture(2.0, 10.0), Detect()))
+
     @settings(max_examples=300)
     @given(st.lists(any_statement, max_size=6))
     @example([])
@@ -224,6 +235,7 @@ class TestCircuitInvariants:
     @example([Source("H", 1), Detect(), Hwp(1.0)])
     @example([Source("H", 1), Detect(), Detect()])
     @example([Source("H", 0), MziCnot()])
+    @example([Source("V", 1), TriangleAperture(2.0), MziCnot(), Polarizer("V"), Detect()])
     def test_parse_and_circuit_reject_alike(self, statements):
         text = "".join(format_statement(s) + "\n" for s in statements)
         try:

@@ -245,6 +245,20 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "line 2, column 11" in report
 
+    def test_aperture_before_the_gate_is_a_parse_error(self, tmp_path):
+        # read as if it stood after the gate, it gave -1 with status=ok
+        circ = tmp_path / "early.circ"
+        circ.write_text(
+            "SOURCE pol=V oam=1\nTRIAPERTURE side=2 orientation=10\nMZI_CNOT\n"
+            "POLARIZER V\nDETECT\n"
+        )
+        code, report = run_cli(["simulate", str(circ), *FAST])
+        assert code == EXIT_PARSE
+        assert report == (
+            f"parse error: {circ}: line 3, column 1: "
+            "MZI_CNOT after TRIAPERTURE; the aperture follows the optics\n"
+        )
+
     def test_non_utf8_byte_is_a_parse_error_at_its_position(self, tmp_path):
         circ = tmp_path / "bad.circ"
         circ.write_bytes(b"SOURCE pol=H oam=1\n\xff\n")
@@ -461,6 +475,13 @@ class TestOneCameraPerCommand:
         assert (len(masks), len(lenses)) == (1, 1)
         assert run_cli(["truth-table", *FAST, "--mode", "strict-parity"])[0] == EXIT_OK
         assert (len(masks), len(lenses)) == (2, 2)
+
+    def test_truth_table_reads_each_image_once(self, monkeypatch):
+        # four rows end in two signed charges, +1 and -1, each read once
+        reads = counting_everywhere(monkeypatch, "classify_oam")
+        code, report = run_cli(["truth-table", *FAST])
+        assert code == EXIT_OK and "rows_ok=4/4" in report
+        assert len(reads) == 2
 
     def test_readout_sweep_renders_one_window_per_magnitude(self, monkeypatch):
         modes = counting_everywhere(monkeypatch, "lg_mode")

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import matrix_far_field, mesh
 from oamcnot.wavefield import (
     FULL,
+    MAX_CHARGE,
     ApertureSpec,
     CIRCLE,
     Grid,
@@ -122,6 +123,28 @@ class TestLgMode:
         minus = lg_mode(fast_grid, -3, W0, LAM)
         assert np.array_equal(minus.samples, plus.samples.conj())
 
+    @pytest.mark.parametrize("ell", range(MAX_CHARGE + 1))
+    def test_opposite_charges_are_exact_conjugates_on_an_aperture_box(self, ell, default_grid):
+        # the camera reads -|ell| from the point reflection of the +|ell| image
+        box = aperture_box(default_grid, ApertureSpec(TRIANGLE, 2e-3, np.radians(37.0)))
+        plus = lg_mode(default_grid, ell, W0, LAM, box)
+        minus = lg_mode(default_grid, -ell, W0, LAM, box)
+        assert np.array_equal(minus.samples, plus.samples.conj())
+
+    def test_samples_and_mask_are_column_major_and_masked_in_place(self, default_grid):
+        # the lens reads the column-major samples' transpose without a copy
+        aperture = ApertureSpec(TRIANGLE, 2e-3, np.radians(37.0))
+        box = aperture_box(default_grid, aperture)
+        mask = aperture_mask(default_grid, aperture, box)
+        assert mask.dtype == bool and mask.flags.f_contiguous
+        masked = lg_mode(default_grid, 3, W0, LAM, box, mask)
+        assert masked.samples.flags.f_contiguous and not masked.samples.flags.writeable
+        unmasked = lg_mode(default_grid, 3, W0, LAM, box)
+        assert masked.samples.tobytes() == apply_mask(unmasked, mask).samples.tobytes()
+        # a mask that would broadcast against the box is refused, not broadcast
+        with pytest.raises(ValueError, match="does not match"):
+            lg_mode(default_grid, 3, W0, LAM, box, mask[0])
+
     @pytest.mark.parametrize(
         "n, ell",
         [(256, ell) for ell in range(-10, 11)] + [(1024, ell) for ell in (-8, -1, 1, 8)],
@@ -168,11 +191,21 @@ class TestApertureMask:
     @pytest.mark.parametrize(
         "aperture",
         [ApertureSpec(TRIANGLE, 2e-3, np.radians(deg)) for deg in (0.0, 15.0, 37.3, 90.0)]
-        + [ApertureSpec(CIRCLE, 3e-3)],
+        + [ApertureSpec(CIRCLE, 3e-3)]
+        # at 15 + 30k degrees an edge runs along a grid axis, so pixel
+        # centres lie on it and the >= comparison decides them
+        + [
+            ApertureSpec(TRIANGLE, 2e-3, np.radians(15.0 + 30.0 * k + d))
+            for k in range(4)
+            for d in (-0.05, 0.0, 0.05)
+        ],
     )
     def test_matches_meshgrid_reference(self, aperture):
         grid = Grid(1024, 8e-3)
-        assert np.array_equal(aperture_mask(grid, aperture), meshgrid_mask(grid, aperture))
+        want = meshgrid_mask(grid, aperture)
+        assert np.array_equal(aperture_mask(grid, aperture), want)
+        box = aperture_box(grid, aperture)
+        assert np.array_equal(aperture_mask(grid, aperture, box), want[box])
 
     def test_half_turn_is_point_reflection(self, fast_grid):
         mask0 = aperture_mask(fast_grid, ApertureSpec(TRIANGLE, 2e-3, 0.0))
@@ -286,6 +319,16 @@ class TestFarField:
             plus = intensity(far_field(apply_mask(lg_mode(fast_grid, ell, W0, LAM), mask), F))
             minus = intensity(far_field(apply_mask(lg_mode(fast_grid, -ell, W0, LAM), mask), F))
             assert np.max(np.abs(plus - point_reflect(minus))) / plus.max() < 1e-9
+
+    def test_either_layout_gives_the_same_bits(self, default_grid):
+        # a column-major field is read in place, a row-major one copied
+        aperture = ApertureSpec(TRIANGLE, 2e-3, np.radians(37.0))
+        box = aperture_box(default_grid, aperture)
+        field = lg_mode(default_grid, 2, W0, LAM, box, aperture_mask(default_grid, aperture, box))
+        row_major = ScalarField(np.ascontiguousarray(field.samples), default_grid, LAM, box)
+        for m in (64, None):
+            got = far_field(field, F, m).samples
+            assert got.tobytes() == far_field(row_major, F, m).samples.tobytes()
 
     @pytest.mark.parametrize("m", [32, 0, -64, 97])
     def test_window_not_an_even_width_from_64_is_refused(self, m):
