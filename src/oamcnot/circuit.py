@@ -374,7 +374,9 @@ def run_logical(circuit: Circuit) -> LogicalRun:
         elif isinstance(stmt, Hwp):
             analyzer = None
             if state is not None:
-                amps = np.kron(_hwp_matrix(stmt.angle_deg), np.eye(2)) @ state.amplitudes
+                # on the polarization index; + 0.0 gives kron(plate, I)'s +0.0 for -0.0
+                plate = _hwp_matrix(stmt.angle_deg)
+                amps = (plate @ state.amplitudes.reshape(2, 2)).reshape(4) + 0.0
                 state = HybridState(amps, state.oam_magnitude)
         elif isinstance(stmt, MziCnot) and state is not None:
             matrix = compose_mzi(stmt.mode)

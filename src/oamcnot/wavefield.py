@@ -31,6 +31,9 @@ Box = tuple[slice, slice]
 #: The whole grid as a box.
 FULL: Box = (slice(None), slice(None))
 
+#: Samples per block of rows in ``window_tail_bound``'s summation.
+_TV_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -323,16 +326,20 @@ def window_tail_bound(field: ScalarField, focal_length: float) -> Callable[[int]
     the window has |k_x| >= m/2 or |k_y| >= m/2, so
     |F| <= scale max(TV_x, TV_y) / (2 sin(pi m / 2n)).  The variation is
     summed once, here, on whichever of the samples and their transpose is
-    C-contiguous: the maximum over both axes is the same on either.
+    C-contiguous (the maximum over both axes is the same on either), in
+    blocks of rows of about ``_TV_BLOCK`` samples: a block gives the
+    differences along its rows and, with the one row before it, those
+    across rows, so no temporary is the box's size.  The zero padding adds
+    the first and last samples along each axis, once.
     """
     scale = _lens_scale(field, focal_length)
     f = field.samples if field.samples.flags.c_contiguous else field.samples.T
-    # the zero padding adds the first and last samples along the axis
-    variation = max(
-        float(np.abs(np.diff(f, axis=axis)).sum() + np.abs(f.take([0, -1], axis=axis)).sum())
-        for axis in (0, 1)
-    )
-    tail = scale * variation
+    rows = max(1, _TV_BLOCK // f.shape[1])
+    tv = np.array([np.abs(f[:, [0, -1]]).sum(), np.abs(f[[0, -1]]).sum()])
+    for r in range(0, f.shape[0], rows):
+        tv[0] += np.abs(np.diff(f[r : r + rows], axis=1)).sum()
+        tv[1] += np.abs(np.diff(f[max(r - 1, 0) : r + rows], axis=0)).sum()
+    tail = scale * float(tv.max())
     n = field.grid.n
     return lambda m: tail / (2.0 * math.sin(math.pi * m / (2 * n)))
 

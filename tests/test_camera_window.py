@@ -250,6 +250,57 @@ def test_the_bound_is_tight_for_a_plane_wave_just_outside_the_window():
     assert peak <= window_tail_bound(field, F)(m) ** 2 <= 1.05 * peak
 
 
+def direct_tail_bound(field, m):
+    """``window_tail_bound(field, F)(m)`` with each axis's variation summed
+    over the whole box at once: one ``np.diff`` of the samples per axis."""
+    f = field.samples
+    variation = max(
+        np.abs(np.diff(f, axis=axis)).sum() + np.abs(f.take([0, -1], axis=axis)).sum()
+        for axis in (0, 1)
+    )
+    scale = field.grid.pitch**2 / (field.wavelength * F)
+    return scale * variation / (2.0 * math.sin(math.pi * m / (2 * field.grid.n)))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("degrees", [0.0, 37.0, 90.0, 211.5])
+def test_the_blocked_bound_is_the_whole_box_sum(n, degrees, params):
+    # a 1024^2 box at 2 mm spans several blocks of rows, a 256^2 one a single block
+    aperture = ApertureSpec(TRIANGLE, 2e-3, math.radians(degrees))
+    for ell in range(-10, 11):
+        field = masked_box_field(Grid(n, 8e-3), ell, aperture, params)
+        for m in (64, n // 2, n):
+            want = direct_tail_bound(field, m)
+            assert abs(window_tail_bound(field, F)(m) - want) <= 1e-15 * want, (ell, m)
+
+
+@pytest.mark.parametrize("layout", ["row-major", "column-major"])
+def test_blocks_with_a_short_last_one_sum_every_difference(layout):
+    # 130 rows of 1000 samples are 8 blocks of 16 rows and one of 2; a
+    # column-major box is summed on its transpose, 1000 rows of 130
+    rng = np.random.default_rng(7)
+    samples = rng.normal(size=(130, 1000)) + 1j * rng.normal(size=(130, 1000))
+    if layout == "column-major":
+        samples = np.asfortranarray(samples)
+    field = ScalarField(samples, Grid(1024, 8e-3), 532e-9, (slice(40, 170), slice(12, 1012)))
+    want = direct_tail_bound(field, 64)
+    assert abs(window_tail_bound(field, F)(64) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("ell", [1, 8])
+def test_the_bound_allocates_less_than_the_box(ell, params, default_grid):
+    # whole-box differences and their magnitudes took 1.5 times the box
+    aperture = ApertureSpec(TRIANGLE, 2e-3, math.radians(37.0))
+    field = masked_box_field(default_grid, ell, aperture, params)
+    tracemalloc.start()
+    try:
+        window_tail_bound(field, F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < field.samples.nbytes
+
+
 @pytest.mark.parametrize(
     "ell, m", [(0, 64), (1, 64), (-2, 64), (3, 76), (-5, 124), (6, 132), (-8, 146), (10, 166)]
 )

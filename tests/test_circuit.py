@@ -20,7 +20,14 @@ from oamcnot.circuit import (
     run_logical,
     run_wave,
 )
-from oamcnot.hybrid import CNOT_MATRIX, PolarizationAxis, bell_state
+from oamcnot.hybrid import (
+    CNOT_MATRIX,
+    HybridState,
+    PolarizationAxis,
+    bell_state,
+    project_polarization,
+)
+from oamcnot.interferometer import compose_mzi
 from oamcnot.readout import Camera
 from oamcnot.wavefield import TRIANGLE, Grid, OpticalParams, far_field, intensity
 
@@ -308,6 +315,60 @@ class TestRunLogical:
         assert np.array_equal(run.final_state.amplitudes, bare.final_state.amplitudes)
         assert run.projections == bare.projections
         assert run.analyzer is bare.analyzer is PolarizationAxis.VERTICAL
+
+
+def kron_amplitudes(circ):
+    """``run_logical``'s final amplitudes, each half-wave plate applied as
+    the 4 x 4 kron(plate, I), or None when no state is left."""
+    state = None
+    for stmt in circ.statements:
+        if isinstance(stmt, Source):
+            state = circuit._source_state(stmt)
+        elif isinstance(stmt, Polarizer) and state is not None:
+            state = project_polarization(state, PolarizationAxis(stmt.axis))[1]
+        elif isinstance(stmt, Hwp) and state is not None:
+            plate = np.kron(circuit._hwp_matrix(stmt.angle_deg), np.eye(2))
+            state = HybridState(plate @ state.amplitudes, state.oam_magnitude)
+        elif isinstance(stmt, MziCnot) and state is not None:
+            state = HybridState(compose_mzi(stmt.mode) @ state.amplitudes, state.oam_magnitude)
+    return None if state is None else state.amplitudes
+
+
+@st.composite
+def plate_heavy_circuits(draw):
+    """SOURCE and up to eight statements, mostly half-wave plates: at 0 or
+    -0 degrees, whose matrix holds exact zeros, near the other axes, or at
+    any angle."""
+    oam = draw(st.sampled_from((-1, 1, 3)))
+    angles = st.sampled_from((0.0, -0.0, 22.5, 45.0, -45.0, 90.0, 180.0)) | finite_floats(
+        min_value=-360, max_value=360
+    )
+    body = st.one_of(
+        *[angles.map(Hwp)] * 3,
+        st.sampled_from(("H", "V")).map(Polarizer),
+        st.sampled_from(("paper-default", "strict-parity")).map(MziCnot),
+    )
+    statements = [Source(draw(st.sampled_from("HVDA")), oam), *draw(st.lists(body, max_size=8))]
+    return Circuit(tuple(statements))
+
+
+class TestHalfWavePlate:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(circuits(), plate_heavy_circuits()))
+    def test_plates_give_the_kron_forms_bytes(self, circ):
+        # byte equality: a -0.0 where the kron form gives +0.0 is a failure,
+        # since the reports print the sign
+        want = kron_amplitudes(circ)
+        final = run_logical(circ).final_state
+        if want is None:
+            assert final is None
+        else:
+            assert final.amplitudes.tobytes() == want.tobytes()
+
+    def test_a_plate_at_zero_leaves_a_positive_zero(self):
+        amps = run_logical(parse("SOURCE pol=V oam=1\nHWP angle=0")).final_state.amplitudes
+        assert amps.tolist() == [0, 0, -1, 0]
+        assert not np.signbit(amps[3].real) and not np.signbit(amps[3].imag)
 
 
 class TestRunWave:
