@@ -32,6 +32,7 @@ import numpy as np
 from .hybrid import (
     HybridState,
     PolarizationAxis,
+    SIGN_VECTORS,
     ZERO_PROBABILITY,
     project_polarization,
 )
@@ -41,7 +42,6 @@ from .wavefield import TRIANGLE, ApertureSpec
 
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
-_TOKEN_RE = re.compile(r"\S+")
 
 
 class ParseError(Exception):
@@ -173,7 +173,11 @@ class Circuit:
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Whitespace-separated tokens with their 1-based start columns."""
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+    tokens, end = [], 0
+    for token in line.split():
+        end = line.index(token, end) + len(token)  # only whitespace since end
+        tokens.append((token, end - len(token) + 1))
+    return tokens
 
 
 def _split_kv(
@@ -213,8 +217,9 @@ def _integer(value: str) -> int:
     return int(value)
 
 
-# keyword -> (statement type, parameters as (key, field, converter, required)).
-# POLARIZER takes its one parameter as a bare token, not as key=value.
+# keyword -> (statement type, parameters as (key, field, converter, required)),
+# and _KEYS below holds each keyword's keys.  POLARIZER takes its one
+# parameter as a bare token, not as key=value.
 _SYNTAX: dict[str, tuple[type, tuple[tuple[str, str, Callable[[str], object], bool], ...]]] = {
     "SOURCE": (Source, (("pol", "pol", str.upper, True), ("oam", "oam", _integer, True))),
     "HWP": (Hwp, (("angle", "angle_deg", _decimal, True),)),
@@ -226,6 +231,7 @@ _SYNTAX: dict[str, tuple[type, tuple[tuple[str, str, Callable[[str], object], bo
     )),
     "DETECT": (Detect, ()),
 }
+_KEYS = {kw: tuple(p[0] for p in params) for kw, (_, params) in _SYNTAX.items()}
 
 
 def parse(text: str) -> Circuit:
@@ -255,7 +261,7 @@ def parse(text: str) -> Circuit:
                 raise ParseError(line_no, kw_col, "POLARIZER requires an axis (H or V)")
             found, extra = {"axis": args[0]}, args[1:]
         elif params:
-            found, extra = _split_kv(args, line_no, tuple(p[0] for p in params)), []
+            found, extra = _split_kv(args, line_no, _KEYS[kw]), []
         else:
             found, extra = {}, args
         if extra:
@@ -348,11 +354,8 @@ def _hwp_matrix(angle_deg: float) -> np.ndarray:
 
 def _source_state(source: Source) -> HybridState:
     """The source's basis state; a zero charge stands in as +1."""
-    jones = PolarizationAxis(source.pol).jones
-    sign_bit = 1 if source.oam < 0 else 0
-    oam_vec = np.zeros(2, dtype=complex)
-    oam_vec[sign_bit] = 1.0
-    return HybridState(np.outer(jones, oam_vec).reshape(4), abs(source.oam) or 1)
+    jones, sign = PolarizationAxis(source.pol).jones, SIGN_VECTORS[source.oam < 0]
+    return HybridState(np.outer(jones, sign).reshape(4), abs(source.oam) or 1)
 
 
 def run_logical(circuit: Circuit) -> LogicalRun:

@@ -20,6 +20,13 @@ ZERO_PROBABILITY = 1e-14
 
 _SQRT2 = np.sqrt(2.0)
 
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, no longer writeable."""
+    a.setflags(write=False)
+    return a
+
+
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0],
      [0, 1, 0, 0],
@@ -34,6 +41,16 @@ HADAMARD_POL_MATRIX = np.kron(
     np.eye(2, dtype=complex),
 )
 
+# Each axis's unit Jones vector (H, V components) by its label, and the
+# OAM-sign vectors of + and -, each stored once.
+_JONES = {
+    "H": read_only(np.array([1.0, 0.0], dtype=complex)),
+    "V": read_only(np.array([0.0, 1.0], dtype=complex)),
+    "D": read_only(np.array([1.0, 1.0], dtype=complex) / _SQRT2),
+    "A": read_only(np.array([1.0, -1.0], dtype=complex) / _SQRT2),
+}
+SIGN_VECTORS = tuple(read_only(np.eye(2, dtype=complex)))
+
 
 def validate_amplitudes(state, shape: tuple[int, ...]) -> None:
     """Check that a state's amplitudes have ``shape`` and unit norm and that
@@ -47,11 +64,10 @@ def validate_amplitudes(state, shape: tuple[int, ...]) -> None:
             "OAM magnitude must be >= 1: magnitude 0 has no sign and "
             "cannot encode the target qubit"
         )
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    norm_sq = float(np.vdot(amps, amps).real)
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-    amps.setflags(write=False)
-    object.__setattr__(state, "amplitudes", amps)
+    object.__setattr__(state, "amplitudes", read_only(amps))
 
 
 class PolarizationAxis(Enum):
@@ -64,14 +80,8 @@ class PolarizationAxis(Enum):
 
     @property
     def jones(self) -> np.ndarray:
-        """Unit Jones vector (H, V components) of the axis."""
-        if self is PolarizationAxis.HORIZONTAL:
-            return np.array([1.0, 0.0], dtype=complex)
-        if self is PolarizationAxis.VERTICAL:
-            return np.array([0.0, 1.0], dtype=complex)
-        if self is PolarizationAxis.DIAGONAL:
-            return np.array([1.0, 1.0], dtype=complex) / _SQRT2
-        return np.array([1.0, -1.0], dtype=complex) / _SQRT2
+        """Unit Jones vector (H, V components) of the axis, read-only."""
+        return _JONES[self._value_]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +107,7 @@ def basis_state(pol: int, oam: int, magnitude: int) -> HybridState:
     """
     if pol not in (0, 1) or oam not in (0, 1):
         raise ValueError(f"pol and oam must be bits, got ({pol}, {oam})")
-    amps = np.zeros(4, dtype=complex)
-    amps[2 * pol + oam] = 1.0
-    return HybridState(amps, magnitude)
+    return HybridState(np.eye(4, dtype=complex)[2 * pol + oam], magnitude)
 
 
 def cnot(state: HybridState) -> HybridState:
@@ -137,7 +145,7 @@ def project_polarization(
     e = axis.jones
     # OAM-sign components riding on the chosen axis.
     chi = e.conj() @ state.amplitudes.reshape(2, 2)
-    prob = float(np.sum(np.abs(chi) ** 2))
+    prob = float((np.abs(chi) ** 2).sum())
     if prob < ZERO_PROBABILITY:
         return prob, None
     collapsed = np.outer(e, chi / np.sqrt(prob)).reshape(4)

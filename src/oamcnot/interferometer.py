@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import NORM_TOL, validate_amplitudes
+from .hybrid import NORM_TOL, read_only, validate_amplitudes
 
 LOWER, UPPER = 0, 1
 
@@ -133,8 +133,7 @@ def _compose(mode_label: str) -> np.ndarray:
     gram = matrix.conj().T @ matrix
     if float(np.max(np.abs(gram - np.eye(4)))) > NORM_TOL:
         raise RoutingError("composite", float(np.max(np.abs(gram - np.eye(4)))))
-    matrix.setflags(write=False)
-    return matrix
+    return read_only(matrix)
 
 
 MZI_MATRICES = {mode: _compose(mode) for mode in MODE_LABELS}

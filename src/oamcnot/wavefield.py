@@ -246,16 +246,6 @@ def aperture_mask(grid: Grid, aperture: ApertureSpec, box: Box = FULL) -> np.nda
     return inside.T
 
 
-def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
-    """Pointwise transmission of the field through a real mask."""
-    mask = np.asarray(mask)
-    if mask.shape != field.samples.shape:
-        raise ValueError(
-            f"mask shape {mask.shape} does not match field shape {field.samples.shape}"
-        )
-    return ScalarField(field.samples * mask, field.grid, field.wavelength, field.box)
-
-
 def _lens_scale(field: ScalarField, focal_length: float) -> float:
     """Amplitude scale of the lens transform: pitch^2 / (wavelength f)."""
     if not focal_length > 0:

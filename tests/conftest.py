@@ -18,9 +18,19 @@ from oamcnot.wavefield import (
     TRIANGLE,
     aperture_box,
     aperture_mask,
-    apply_mask,
     lg_mode,
 )
+
+
+#: Each axis's Jones vector (H, V components) and the OAM-sign vectors of +
+#: and -, written out as complex literals: byte references for the stored ones.
+LITERAL_JONES = {
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    "A": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+}
+LITERAL_SIGNS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
 def random_hybrid_state(rng: np.random.Generator, magnitude: int = 1) -> HybridState:
@@ -40,6 +50,17 @@ def verify_cnot(matrix: np.ndarray) -> float:
     overlap = np.trace(CNOT_MATRIX.conj().T @ m)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
     return float(np.max(np.abs(m / phase - CNOT_MATRIX)))
+
+
+def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
+    """Pointwise transmission of the field through a real mask: the
+    reference for the mask that ``lg_mode`` multiplies in place."""
+    mask = np.asarray(mask)
+    if mask.shape != field.samples.shape:
+        raise ValueError(
+            f"mask shape {mask.shape} does not match field shape {field.samples.shape}"
+        )
+    return ScalarField(field.samples * mask, field.grid, field.wavelength, field.box)
 
 
 def direct_field(

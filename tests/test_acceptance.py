@@ -35,14 +35,13 @@ from oamcnot.wavefield import (
     TRIANGLE,
     aperture_box,
     aperture_mask,
-    apply_mask,
     far_field,
     intensity,
     lg_mode,
     point_reflect,
     power,
 )
-from conftest import mesh, verify_cnot
+from conftest import apply_mask, mesh, verify_cnot
 from test_circuit import circuits
 from test_interferometer import X_TARGET_AFTER_CNOT, oracle_matrix
 

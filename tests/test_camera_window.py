@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import direct_readout, fft_far_field
+from conftest import apply_mask, direct_readout, fft_far_field
 from oamcnot import readout
 from oamcnot.circuit import (
     Circuit,
@@ -56,7 +56,6 @@ from oamcnot.wavefield import (
     TRIANGLE,
     aperture_box,
     aperture_mask,
-    apply_mask,
     far_field,
     intensity,
     lg_mode,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import direct_field
+from conftest import LITERAL_JONES, LITERAL_SIGNS, direct_field
 from oamcnot import circuit, readout
 from oamcnot.circuit import (
     Circuit,
@@ -22,10 +22,10 @@ from oamcnot.circuit import (
 )
 from oamcnot.hybrid import (
     CNOT_MATRIX,
+    ZERO_PROBABILITY,
     HybridState,
     PolarizationAxis,
     bell_state,
-    project_polarization,
 )
 from oamcnot.interferometer import compose_mzi
 from oamcnot.readout import Camera
@@ -318,20 +318,24 @@ class TestRunLogical:
 
 
 def kron_amplitudes(circ):
-    """``run_logical``'s final amplitudes, each half-wave plate applied as
-    the 4 x 4 kron(plate, I), or None when no state is left."""
-    state = None
+    """``run_logical``'s final amplitudes, or None when no state is left,
+    each as a Kronecker product: the source is kron(Jones, sign), a
+    polarizer keeps kron(e, chi / sqrt(p)) for the OAM-sign components chi
+    on its axis e, and a half-wave plate is the 4 x 4 kron(plate, I)."""
+    amps = None
     for stmt in circ.statements:
         if isinstance(stmt, Source):
-            state = circuit._source_state(stmt)
-        elif isinstance(stmt, Polarizer) and state is not None:
-            state = project_polarization(state, PolarizationAxis(stmt.axis))[1]
-        elif isinstance(stmt, Hwp) and state is not None:
-            plate = np.kron(circuit._hwp_matrix(stmt.angle_deg), np.eye(2))
-            state = HybridState(plate @ state.amplitudes, state.oam_magnitude)
-        elif isinstance(stmt, MziCnot) and state is not None:
-            state = HybridState(compose_mzi(stmt.mode) @ state.amplitudes, state.oam_magnitude)
-    return None if state is None else state.amplitudes
+            amps = np.kron(LITERAL_JONES[stmt.pol], LITERAL_SIGNS[stmt.oam < 0])
+        elif isinstance(stmt, Polarizer) and amps is not None:
+            e = LITERAL_JONES[stmt.axis]
+            chi = e.conj() @ amps.reshape(2, 2)
+            prob = float(np.sum(np.abs(chi) ** 2))
+            amps = None if prob < ZERO_PROBABILITY else np.kron(e, chi / np.sqrt(prob))
+        elif isinstance(stmt, Hwp) and amps is not None:
+            amps = np.kron(circuit._hwp_matrix(stmt.angle_deg), np.eye(2)) @ amps
+        elif isinstance(stmt, MziCnot) and amps is not None:
+            amps = compose_mzi(stmt.mode) @ amps
+    return amps
 
 
 @st.composite

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import LITERAL_JONES
 from oamcnot.circuit import Source, _source_state
 from oamcnot.hybrid import (
     CNOT_MATRIX,
+    SIGN_VECTORS,
     HybridState,
     PolarizationAxis,
     basis_state,
@@ -42,7 +44,7 @@ class TestBasisState:
     )
     def test_one_hot(self, pol, oam, magnitude, expected):
         state = basis_state(pol, oam, magnitude)
-        assert np.array_equal(state.amplitudes, np.array(expected, dtype=complex))
+        assert state.amplitudes.tobytes() == np.array(expected, dtype=complex).tobytes()
         assert state.oam_magnitude == magnitude
 
     def test_zero_magnitude_rejected(self):
@@ -200,7 +202,8 @@ class TestProjection:
                 continue
             e = axis.jones
             chi = e.conj() @ state.amplitudes.reshape(2, 2)
-            assert np.array_equal(collapsed.amplitudes, np.kron(e, chi / np.sqrt(prob)))
+            want = np.kron(e, chi / np.sqrt(prob))
+            assert collapsed.amplitudes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("pol", ["H", "V", "D", "A"])
@@ -209,7 +212,12 @@ def test_source_state_equals_the_kronecker_product(pol, oam):
     state = _source_state(Source(pol, oam))
     oam_vec = np.array([1.0, 0.0] if oam >= 0 else [0.0, 1.0], dtype=complex)
     jones = PolarizationAxis(pol).jones
-    assert np.array_equal(state.amplitudes, np.kron(jones, oam_vec))
+    assert state.amplitudes.tobytes() == np.kron(jones, oam_vec).tobytes()
+    # the stored Jones and sign vectors are read-only; Jones holds the literal entries
+    assert not jones.flags.writeable and not SIGN_VECTORS[oam < 0].flags.writeable
+    assert jones.tobytes() == LITERAL_JONES[pol].tobytes()
+    with pytest.raises(ValueError):
+        jones[0] = 0.0
 
 
 class TestDiagnostics:

@@ -257,3 +257,6 @@ def test_both_state_types_validate_and_freeze_amplitudes(kind, shape):
         kind(amps, 0)
     with pytest.raises(ValueError, match="not normalized"):
         kind(2 * amps, 1)
+    # the norm prints as a plain float, not as a numpy scalar's repr
+    with pytest.raises(ValueError, match=r"sum \|amp\|\^2 = 4\.0$"):
+        kind(2 * amps, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import full_image_find_peaks, mesh
+from conftest import apply_mask, full_image_find_peaks, mesh
 from oamcnot import readout
 from oamcnot.readout import (
     TIE_FRACTION,
@@ -27,7 +27,6 @@ from oamcnot.wavefield import (
     TRIANGLE,
     aperture_box,
     aperture_mask,
-    apply_mask,
     far_field,
     intensity,
     lg_mode,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import matrix_far_field, mesh
+from conftest import apply_mask, matrix_far_field, mesh
 from oamcnot.wavefield import (
     FULL,
     MAX_CHARGE,
@@ -13,7 +13,6 @@ from oamcnot.wavefield import (
     TRIANGLE,
     aperture_box,
     aperture_mask,
-    apply_mask,
     far_field,
     intensity,
     lg_mode,
