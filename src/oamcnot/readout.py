@@ -5,7 +5,7 @@ The camera path is ``Camera.image``, the one way from an aperture and an
 outcome to an image (through ``render_image``: lens and intensity of a
 masked field, onto a centred camera window that provably holds every
 spot), and ``classify_oam`` (peaks at the fixed threshold and the
-lattice-based separation floor, then the vote), which ``Camera.read``
+lattice-based separation floor, then the sign vote), which ``Camera.read``
 runs once per window it is asked to read.
 
 The pattern is a finite triangular lattice of bright spots; counting N
@@ -13,8 +13,8 @@ spots on a side gives the magnitude |ell| = N - 1, and the lattice's
 pointing direction gives the sign.  In this simulation's propagation
 convention a positive charge (counterclockwise helical phase) produces
 the lattice rotated +90 degrees from the aperture's own direction, and a
-negative charge gives the point reflection of that.  The classifier
-votes between those two ideal orientations.
+negative charge gives the point reflection of that.  The sign vote
+``orientation_score`` is the peaks' normalized third angular harmonic.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ THRESHOLD_FRAC = 0.3
 SEPARATION_FRACTION = 0.3
 #: Minimum |orientation_score| below which the vote is declared ambiguous.
 AMBIGUITY_MARGIN = 0.05
-#: Gaussian kernel width of the template match, in units of lattice spacing.
-MATCH_KERNEL = 0.5
 #: Image values closer than this fraction of the maximum are taken as
 #: equal.  Spots that a mirror symmetry makes equal come out of a transform
 #: with ~1e-15 of rounding noise, which must not pick the peak pixel.
@@ -206,29 +204,14 @@ def count_spots_per_side(peaks: PeakSet) -> int:
     raise ClassificationError(count)
 
 
-def _lattice_template(n_side: int) -> np.ndarray:
-    """Ideal unit-spacing lattice patch of T(n_side) points.
-
-    Built with one vertex pointing along +y and centered on its centroid.
-    """
-    u1 = np.array([1.0, 0.0])
-    u2 = np.array([0.5, np.sqrt(3.0) / 2.0])
-    pts = np.array(
-        [i * u1 + j * u2 for i in range(n_side) for j in range(n_side - i)]
-    )
-    return pts - pts.mean(axis=0)
-
-
-def _rotate(pts: np.ndarray, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return pts @ np.array([[c, s], [-s, c]])
-
-
-def _match_score(points: np.ndarray, template: np.ndarray, kernel: float) -> float:
-    """Mean Gaussian proximity of template points to their nearest peak."""
-    d_sq = ((points[None, :, :] - template[:, None, :]) ** 2).sum(axis=-1)
-    nearest = np.sqrt(d_sq.min(axis=1))
-    return float(np.mean(np.exp(-((nearest / kernel) ** 2))))
+def _harmonic_score(points: np.ndarray, direction: float) -> float:
+    """``classify_oam``'s score of the (x, y) ``points``, at unit rms (z^3 in
+    meters leaves the floats at the ceiling window) with exactly rounded
+    sums, so a point reflection in any order scores exactly -score."""
+    z = points[:, 0] + 1j * points[:, 1]
+    z -= complex(math.fsum(z.real), math.fsum(z.imag)) / len(z)
+    z /= math.sqrt(math.fsum(np.abs(z) ** 2) / len(z))
+    return math.fsum((z * z * z * np.exp(-3j * direction)).real) / math.fsum(np.abs(z) ** 3)
 
 
 def classify_oam(
@@ -240,34 +223,21 @@ def classify_oam(
     at ``THRESHOLD_FRAC`` with the lattice-based separation floor of the
     optics ``params`` and ``aperture``.
 
-    The magnitude comes from the spots-per-side count; the sign from a
-    vote between the ideal lattice at the positive-charge orientation
-    (aperture direction rotated +90 degrees) and its point reflection.
-    ``orientation_score`` is the normalized margin between the two votes.
+    The magnitude comes from the spots-per-side count; the sign from
+    ``orientation_score`` = Re(sum z^3 e^(-3i phi)) / sum |z|^3 in [-1, 1]
+    over the centred peaks z (1 for three spots, about 0.67 for T(11)), with
+    phi the vertex direction of the positive-charge lattice.
     """
     min_separation = default_min_separation(
         params.wavelength, params.focal_length, aperture.size, grid.pitch
     )
     peaks = find_peaks(img, THRESHOLD_FRAC, min_separation, grid)
-    n_side = count_spots_per_side(peaks)
-    magnitude = n_side - 1
+    magnitude = count_spots_per_side(peaks) - 1
     if magnitude == 0:
         return ReadoutResult(0, 0.0)
 
-    pts = peaks.peaks[:, :2]
-    rel = pts - pts.mean(axis=0)
-    rms = float(np.sqrt((rel**2).sum(axis=1).mean()))
-
-    apex = aperture.orientation + np.pi / 2.0
-    template = _lattice_template(n_side)
-    scale = rms / float(np.sqrt((template**2).sum(axis=1).mean()))
-    positive = _rotate(template, apex + POSITIVE_LATTICE_ROTATION - np.pi / 2.0) * scale
-    negative = -positive  # point reflection of the positive orientation
-
-    kernel = MATCH_KERNEL * scale  # scale is the fitted lattice spacing
-    score_pos = _match_score(rel, positive, kernel)
-    score_neg = _match_score(rel, negative, kernel)
-    orientation_score = (score_pos - score_neg) / (score_pos + score_neg)
+    phi = aperture.orientation + np.pi / 2.0 + POSITIVE_LATTICE_ROTATION
+    orientation_score = _harmonic_score(peaks.peaks[:, :2], phi)
     if abs(orientation_score) < AMBIGUITY_MARGIN:
         raise AmbiguousOrientationError(orientation_score)
     charge = magnitude if orientation_score > 0 else -magnitude

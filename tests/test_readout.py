@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import apply_mask, full_image_find_peaks, mesh
 from oamcnot import readout
 from oamcnot.readout import (
+    AMBIGUITY_MARGIN,
+    POSITIVE_LATTICE_ROTATION,
     TIE_FRACTION,
     AmbiguousOrientationError,
     ClassificationError,
@@ -345,6 +347,33 @@ class TestClassify:
         assert calls == []
 
 
+def ideal_lattice(n_side, direction):
+    """(x, y) rows of the T(n_side) points of a unit triangular lattice
+    whose vertex lies along ``direction`` (radians) from its centroid."""
+    i, j = np.array([(i, j) for i in range(n_side) for j in range(n_side - i)], float).T
+    x, y = i + 0.5 * j, np.sqrt(3.0) / 2.0 * j  # the vertex at j = n_side - 1 is along +y
+    c, s = np.cos(direction - np.pi / 2.0), np.sin(direction - np.pi / 2.0)
+    return np.column_stack([x * c - y * s, x * s + y * c])
+
+
+@pytest.mark.parametrize("n_side", range(2, MAX_CHARGE + 2))
+def test_the_vote_scores_an_ideal_lattice_and_its_point_reflection(n_side):
+    # the lattice a positive charge gives behind an aperture at 0.3 rad,
+    # without the wave layer: three spots score 1, T(11) about two thirds
+    direction = 0.3 + np.pi / 2.0 + POSITIVE_LATTICE_ROTATION
+    pts = 40e-6 * ideal_lattice(n_side, direction)
+    score = readout._harmonic_score(pts, direction)
+    assert AMBIGUITY_MARGIN < score <= 1.0 + 1e-15
+    assert score == pytest.approx({2: 1.0, 11: 0.668}.get(n_side, score), abs=1e-3)
+    # a point-reflected image lists the negated positions in another order
+    assert readout._harmonic_score(-pts[::-1], direction) == -score
+    # a shift of a few spacings: a farther one rounds the positions themselves
+    shifted = pts + [120e-6, -40e-6]
+    rng = np.random.default_rng(n_side)
+    for moved in (pts * 1e-150, pts * 1e150, shifted, rng.permutation(pts)):
+        assert abs(readout._harmonic_score(moved, direction) - score) <= 1e-15
+
+
 def _readout_or_refusal(ell, params, grid, aperture):
     """(kind, charge or peak count, orientation score) of a readout."""
     try:
@@ -372,6 +401,9 @@ def test_wavelength_and_focal_length_move_no_spot(wavelength_nm, focal_cm, ell, 
     optics = OpticalParams(wavelength_nm * 1e-9, focal_cm * 1e-2, reference.beam_waist)
     kind, value, score = _readout_or_refusal(ell, optics, grid, aperture)
     want_kind, want_value, want_score = _readout_or_refusal(ell, reference, grid, aperture)
+    # every orientation reads the charge or refuses it, never another charge
+    # (ell = 8 has 43 or 44 peaks in bands about 0.2 degrees wide)
+    assert want_kind != "charge" or want_value == ell
     assert (kind, value) == (want_kind, want_value)
     assert abs(score - want_score) <= 1e-12
 
