@@ -118,7 +118,9 @@ class TriangleAperture:
 
     @property
     def spec(self) -> ApertureSpec:
-        return ApertureSpec(TRIANGLE, self.side_mm * 1e-3, math.radians(self.orientation_deg))
+        # reduced exactly modulo the symmetry: unreduced, a huge angle collapses the vertices
+        degrees = self.orientation_deg % 120.0
+        return ApertureSpec(TRIANGLE, self.side_mm * 1e-3, math.radians(degrees))
 
 
 @dataclass(frozen=True)

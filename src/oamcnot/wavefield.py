@@ -23,8 +23,6 @@ import numpy as np
 MAX_CHARGE = 10
 
 TRIANGLE = "equilateral-triangle"
-CIRCLE = "circle"
-APERTURE_SHAPES = (TRIANGLE, CIRCLE)
 
 #: A box of grid samples: (row slice, column slice), used as an index.
 Box = tuple[slice, slice]
@@ -64,20 +62,20 @@ class Grid:
 
 @dataclass(frozen=True)
 class ApertureSpec:
-    """Aperture geometry: shape, size (triangle side or circle diameter),
-    and rotation.  Orientation 0 points one triangle vertex along +y."""
+    """Equilateral-triangle aperture: shape (``TRIANGLE``, the only one),
+    side and rotation in radians.  Orientation 0 points one vertex along +y."""
 
     shape: str
     size: float
     orientation: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.shape not in APERTURE_SHAPES:
-            raise ValueError(
-                f"unknown aperture shape {self.shape!r}; expected one of {APERTURE_SHAPES}"
-            )
+        if self.shape != TRIANGLE:
+            raise ValueError(f"unknown aperture shape {self.shape!r}; expected {TRIANGLE!r}")
         if not (np.isfinite(self.size) and self.size > 0):
             raise ValueError(f"aperture size must be positive, got {self.size}")
+        if not np.isfinite(self.orientation):
+            raise ValueError(f"aperture orientation must be finite, got {self.orientation}")
 
 
 @dataclass(frozen=True)
@@ -185,34 +183,29 @@ def lg_mode(
     return ScalarField(field, grid, wavelength, box)
 
 
-def _rim(grid: Grid, aperture: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the aperture's triangle vertices, or the x and y
-    extremes of its circle; refused if the shape does not fit the window,
-    or if it is narrower than 4 pitches, as ``check_mode`` refuses a waist."""
-    if aperture.shape == CIRCLE:
-        radius, name = aperture.size / 2.0, "circle diameter"
-    else:
-        radius, name = aperture.size / np.sqrt(3.0), "triangle side"
+def _vertices(grid: Grid, aperture: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the aperture's triangle vertices, counterclockwise; refused
+    if the triangle does not fit the window, or if its side is narrower than
+    4 pitches, as ``check_mode`` refuses a waist."""
+    radius = aperture.size / np.sqrt(3.0)
     if radius >= grid.window / 2.0:
         raise ValueError(
-            f"{name} {aperture.size:g} m does not fit in the {grid.window:g} m window"
+            f"triangle side {aperture.size:g} m does not fit in the {grid.window:g} m window"
         )
     if aperture.size < 4 * grid.pitch:
         raise ValueError(
-            f"{name} {aperture.size:g} m is narrower than 4 grid pitches "
+            f"triangle side {aperture.size:g} m is narrower than 4 grid pitches "
             f"({4 * grid.pitch:g} m)"
         )
-    if aperture.shape == CIRCLE:
-        return np.array([-radius, radius]), np.array([-radius, radius])
     angles = aperture.orientation + np.pi / 2.0 + 2.0 * np.pi * np.arange(3) / 3.0
     return radius * np.cos(angles), radius * np.sin(angles)
 
 
 def aperture_box(grid: Grid, aperture: ApertureSpec) -> Box:
-    """The smallest box of grid samples that holds the aperture's extent;
+    """The smallest box of grid samples that holds the aperture's vertices;
     ``aperture_mask`` is zero outside it.  A pixel left out lies a whole
-    pitch or more outside the extent, so rounding cannot let it in."""
-    vx, vy = _rim(grid, aperture)
+    pitch or more outside the triangle, so rounding cannot let it in."""
+    vx, vy = _vertices(grid, aperture)
 
     def span(v: np.ndarray) -> slice:
         first = math.floor(v.min() / grid.pitch) + grid.n // 2
@@ -226,16 +219,14 @@ def aperture_mask(grid: Grid, aperture: ApertureSpec, box: Box = FULL) -> np.nda
     """Binary transmission mask on ``box``, centroid on the optical axis:
     a bool array, column-major as ``lg_mode``'s samples are.
 
-    A pixel transmits when its center falls inside the shape.  Each edge
-    of a triangle compares a column of x terms with a row of y terms, so it
-    builds the box's bools with no float temporary of the box's size.
+    A pixel transmits when its center falls inside the triangle.  Each edge
+    compares a column of x terms with a row of y terms, so it builds the
+    box's bools with no float temporary of the box's size.
     """
-    vx, vy = _rim(grid, aperture)
+    vx, vy = _vertices(grid, aperture)
     c = grid.coords()
     # [x index, y index], the transpose of the box
     x, y = c[box[1]][:, np.newaxis], c[box[0]][np.newaxis, :]
-    if aperture.shape == CIRCLE:
-        return (x**2 + y**2 <= (aperture.size / 2.0) ** 2).T
     inside = np.ones((x.size, y.size), dtype=bool)
     for k in range(3):
         x1, y1 = vx[k], vy[k]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ def mesh(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """x and y of every grid sample, as ``samples[i, j]`` lives at (x[i, j], y[i, j])."""
     c = grid.coords()
     return np.meshgrid(c, c)
+
+
+def circle_field(grid: Grid, diameter: float, wavelength: float) -> ScalarField:
+    """Unit transmission through a centred circle: the pixels whose centres
+    satisfy x^2 + y^2 <= (d/2)^2, on the smallest box of grid samples that
+    holds the circle.  The aperture whose far field is the Airy pattern."""
+    radius = diameter / 2.0
+    half = math.ceil(radius / grid.pitch)
+    span = slice(grid.n // 2 - half, grid.n // 2 + half + 1)
+    c = grid.coords()[span]
+    inside = c[np.newaxis, :] ** 2 + c[:, np.newaxis] ** 2 <= radius**2
+    return ScalarField(inside.astype(complex), grid, wavelength, (span, span))
 
 
 def verify_cnot(matrix: np.ndarray) -> float:

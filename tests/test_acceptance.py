@@ -28,7 +28,6 @@ from oamcnot.interferometer import PAPER_DEFAULT, STRICT_PARITY, compose_mzi
 from oamcnot.readout import find_peaks, readout_roundtrip
 from oamcnot.wavefield import (
     ApertureSpec,
-    CIRCLE,
     Grid,
     OpticalParams,
     ScalarField,
@@ -41,7 +40,7 @@ from oamcnot.wavefield import (
     point_reflect,
     power,
 )
-from conftest import apply_mask, mesh, verify_cnot
+from conftest import apply_mask, circle_field, mesh, verify_cnot
 from test_circuit import circuits
 from test_interferometer import X_TARGET_AFTER_CNOT, oracle_matrix
 
@@ -182,10 +181,7 @@ def test_criterion_7_numerical_soundness(rng):
 
         airy_grid = Grid(1024, 16e-3)
         d = 1e-3
-        circle = ApertureSpec(CIRCLE, d)
-        box = aperture_box(airy_grid, circle)
-        mask = aperture_mask(airy_grid, circle, box)
-        out = far_field(ScalarField(mask.astype(complex), airy_grid, LAM, box), F)
+        out = far_field(circle_field(airy_grid, d, LAM), F)
         img = intensity(out)
         x, y = mesh(out.grid)
         r = np.hypot(x, y)

@@ -47,7 +47,6 @@ from oamcnot.readout import (
     render_image,
 )
 from oamcnot.wavefield import (
-    CIRCLE,
     FULL,
     ApertureSpec,
     Grid,
@@ -100,14 +99,6 @@ class TestBox:
         rows, cols = np.nonzero(full)
         assert box[0].stop - box[0].start <= rows.max() - rows.min() + 5
         assert box[1].stop - box[1].start <= cols.max() - cols.min() + 5
-
-    def test_circle_box_holds_the_mask(self):
-        grid = Grid(256, 8e-3)
-        aperture = ApertureSpec(CIRCLE, 3e-3)
-        box = aperture_box(grid, aperture)
-        inside = np.zeros((256, 256))
-        inside[box] = aperture_mask(grid, aperture, box)
-        assert np.array_equal(aperture_mask(grid, aperture), inside)
 
     def test_oversized_aperture_is_refused_by_the_box(self):
         with pytest.raises(ValueError, match="triangle side 0.02 m does not fit"):
@@ -633,6 +624,19 @@ def test_the_camera_masks_the_mode_in_place(monkeypatch, ell, weights, frame, pa
             assert samples.tobytes() == (plus * mask).tobytes()
         else:
             assert np.array_equal(samples, (weights[0] * plus + weights[1] * minus) * mask)
+
+
+@pytest.mark.parametrize("degrees", [1e19, -1e19, 1.23e8])
+def test_an_orientation_of_any_size_reads_the_charge(degrees, params):
+    # At a huge angle the three vertex angles round onto one value, and the
+    # mask would fill the grid; TRIAPERTURE reduces the angle modulo 120
+    # degrees, the triangle's symmetry, before it takes radians.
+    assert 0.0 <= TriangleAperture(2.0, degrees).spec.orientation < 2.0 * math.pi / 3.0
+    camera = Camera(Grid(256, 8e-3), params)
+    for ell in (1, -1, 3, -3):
+        circ = parse(f"SOURCE pol=H oam={ell}\nTRIAPERTURE side=2 orientation={degrees}\nDETECT")
+        (only,) = run_wave(circ, camera).outcomes
+        assert only.readout.topological_charge == ell
 
 
 #: (side mm, orientation degrees) of the apertures drawn, so that draws repeat

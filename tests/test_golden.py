@@ -15,6 +15,8 @@ report, and circuit files are named relative to the working directory.
 ``truth_table_images.sha256`` holds the SHA-256 of the eight PGM images
 that ``truth-table --grid-n 256 --out DIR --raw-float`` writes in the two
 modes, so the full-frame render that writes images is pinned as well.
+``readout_map.txt`` is what ``tools/readout_map.py`` prints; it takes
+about 8 s, so CI compares it, not this file.
 """
 
 from __future__ import annotations

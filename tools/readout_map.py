@@ -7,8 +7,9 @@ reflection of the +ell image, so only ell = +1..+10 are read.  Each line
 counts the correct reads, the misreads (each charge read, with its count),
 the ``ClassificationError``s, the ``AmbiguousOrientationError``s and the
 refusals ``Camera.refuse`` makes before any render.  The output is
-deterministic; the script takes no flags.  Run it from the repository
-root with the package installed, or as
+deterministic and kept as ``tests/golden/readout_map.txt``; the script
+takes no flags.  Run it from the repository root with the package
+installed, or as
 
     PYTHONPATH=src python tools/readout_map.py
 """
