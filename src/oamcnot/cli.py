@@ -55,9 +55,7 @@ class RunConfig:
 
     @property
     def optical_params(self) -> OpticalParams:
-        # The camera pitch is wavelength * focal_length / window, so the
-        # wavelength and the lens move no spot on the pixel grid: both stay
-        # at OpticalParams' defaults.
+        # the waist is the one optic a run sets; wavefield fixes wavelength and lens
         return OpticalParams(beam_waist=self.waist_mm * 1e-3)
 
 
@@ -230,9 +228,10 @@ def cmd_bell(config: RunConfig, stream) -> int:
 
 
 def _read_circuit(path: str) -> dsl.Circuit:
-    """Parse a circuit file.  A byte that is not UTF-8 is a ParseError at
-    its line and column, counted as parse counts them."""
-    with open(path, encoding="utf-8") as fh:
+    """Parse a circuit file, read as UTF-8 after any byte-order mark.  A byte
+    that is not UTF-8 is a ParseError at its line and column, counted as
+    parse counts them."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

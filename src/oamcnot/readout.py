@@ -26,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .wavefield import (
+    FOCAL_LENGTH,
     FULL,
     MAX_CHARGE,
+    WAVELENGTH,
     ApertureSpec,
     Box,
     Grid,
@@ -214,23 +216,19 @@ def _harmonic_score(points: np.ndarray, direction: float) -> float:
     return math.fsum((z * z * z * np.exp(-3j * direction)).real) / math.fsum(np.abs(z) ** 3)
 
 
-def classify_oam(
-    img: np.ndarray, aperture: ApertureSpec, grid: Grid, params: OpticalParams
-) -> ReadoutResult:
+def classify_oam(img: np.ndarray, aperture: ApertureSpec, grid: Grid) -> ReadoutResult:
     """Infer (sign, magnitude) of the charge from a far-field image.
 
     ``grid`` is the far-field grid the image lives on.  Peaks are found
-    at ``THRESHOLD_FRAC`` with the lattice-based separation floor of the
-    optics ``params`` and ``aperture``.
+    at ``THRESHOLD_FRAC`` with the lattice-based separation floor of
+    ``aperture``.
 
     The magnitude comes from the spots-per-side count; the sign from
     ``orientation_score`` = Re(sum z^3 e^(-3i phi)) / sum |z|^3 in [-1, 1]
     over the centred peaks z (1 for three spots, about 0.67 for T(11)), with
     phi the vertex direction of the positive-charge lattice.
     """
-    min_separation = default_min_separation(
-        params.wavelength, params.focal_length, aperture.size, grid.pitch
-    )
+    min_separation = default_min_separation(aperture.size, grid.pitch)
     peaks = find_peaks(img, THRESHOLD_FRAC, min_separation, grid)
     magnitude = count_spots_per_side(peaks) - 1
     if magnitude == 0:
@@ -244,19 +242,17 @@ def classify_oam(
     return ReadoutResult(charge, orientation_score)
 
 
-def default_min_separation(
-    wavelength: float, focal_length: float, aperture_size: float, far_pitch: float
-) -> float:
+def default_min_separation(aperture_size: float, far_pitch: float) -> float:
     """Peak separation floor: a fraction of the far-field lattice scale,
     never below the two-pixel validity bound of the peak finder."""
     return max(
-        SEPARATION_FRACTION * wavelength * focal_length / aperture_size,
+        SEPARATION_FRACTION * WAVELENGTH * FOCAL_LENGTH / aperture_size,
         2.0 * far_pitch,
     )
 
 
-def render_image(field: ScalarField, focal_length: float) -> tuple[np.ndarray, Grid]:
-    """Camera image of a masked field through the lens.
+def render_image(field: ScalarField) -> tuple[np.ndarray, Grid]:
+    """Camera image of a masked field through the lens of ``FOCAL_LENGTH``.
 
     Returns the far-field intensity on a centred window whose tail bound
     puts every pixel outside it below ``THRESHOLD_FRAC`` times the
@@ -270,21 +266,21 @@ def render_image(field: ScalarField, focal_length: float) -> tuple[np.ndarray, G
     same peaks in the window as in the whole frame.
     """
     n = field.grid.n
-    bound = window_tail_bound(field, focal_length)
-    far = far_field(field, focal_length, FIRST_WINDOW)
+    bound = window_tail_bound(field, FOCAL_LENGTH)
+    far = far_field(field, FOCAL_LENGTH, FIRST_WINDOW)
     img = intensity(far)
     top = THRESHOLD_FRAC * float(img.max())
     # the margin covers the rounding of the bound and of the transform
     m = next((m for m in range(FIRST_WINDOW, n, 2) if bound(m) ** 2 * (1.0 + 1e-9) < top), n)
     if m > FIRST_WINDOW:
-        far = far_field(field, focal_length, m)
+        far = far_field(field, FOCAL_LENGTH, m)
         img = intensity(far)
     return img, far.grid
 
 
 class Camera:
-    """The camera of one command: a grid, the optics, and every image the
-    command renders.  Make one per command; nothing it holds outlives it.
+    """The camera of one command: a grid, the beam waist (the lens is fixed),
+    and every image it renders.  Make one per command; nothing it holds outlives it.
 
     ``image`` is the only code that turns an aperture and an outcome into
     an image, kept by (aperture, |ell|, weights, frame); each render builds
@@ -308,7 +304,7 @@ class Camera:
         # far-field value and the window tail bound.  A window that takes
         # either end out of the normal floats is refused here, not met as
         # an overflow or a blank image.
-        ceiling = grid.n * grid.window / (params.wavelength * params.focal_length)
+        ceiling = grid.n * grid.window / (WAVELENGTH * FOCAL_LENGTH)
         for name, value in (
             ("pitch^2", grid.pitch * grid.pitch),
             ("camera ceiling (n window / (wavelength f))^2", ceiling * ceiling),
@@ -351,18 +347,17 @@ class Camera:
         if key not in self._images:
             # a key in the cache has passed the refusals, which depend on it alone
             box = self.refuse(aperture, ell)
-            p = self.params
             mask = None if aperture is None else aperture_mask(self.grid, aperture, box)
-            field = lg_mode(self.grid, abs(ell), p.beam_waist, p.wavelength, box, mask)
+            field = lg_mode(self.grid, abs(ell), self.params.beam_waist, WAVELENGTH, box, mask)
             if weights is not None:
                 samples = weights[0] * field.samples
                 samples += weights[1] * field.samples.conj()
-                field = ScalarField(samples, self.grid, p.wavelength, box)
+                field = ScalarField(samples, self.grid, WAVELENGTH, box)
             if frame:
-                far = far_field(field, p.focal_length)
+                far = far_field(field, FOCAL_LENGTH)
                 rendered = intensity(far), far.grid
             else:
-                rendered = render_image(field, p.focal_length)
+                rendered = render_image(field)
             rendered[0].setflags(write=False)
             self._images[key] = rendered
         img, far_grid = self._images[key]
@@ -380,7 +375,7 @@ class Camera:
         key = aperture, ell, weights
         if key not in self._readouts:
             img, far_grid = self.image(aperture, ell, weights)
-            self._readouts[key] = classify_oam(img, aperture, far_grid, self.params)
+            self._readouts[key] = classify_oam(img, aperture, far_grid)
         return self._readouts[key]
 
 

@@ -22,6 +22,11 @@ import numpy as np
 
 MAX_CHARGE = 10
 
+#: The paper's fixed optics, wavelength and lens focal length: the camera
+#: pitch is WAVELENGTH * FOCAL_LENGTH / window, so neither moves a spot.
+WAVELENGTH = 532e-9
+FOCAL_LENGTH = 0.30
+
 TRIANGLE = "equilateral-triangle"
 
 #: A box of grid samples: (row slice, column slice), used as an index.
@@ -63,7 +68,8 @@ class Grid:
 @dataclass(frozen=True)
 class ApertureSpec:
     """Equilateral-triangle aperture: shape (``TRIANGLE``, the only one),
-    side and rotation in radians.  Orientation 0 points one vertex along +y."""
+    side and rotation in radians, kept modulo 2 pi / 3 by the exact math.fmod.
+    Orientation 0 points one vertex along +y."""
 
     shape: str
     size: float
@@ -76,21 +82,18 @@ class ApertureSpec:
             raise ValueError(f"aperture size must be positive, got {self.size}")
         if not np.isfinite(self.orientation):
             raise ValueError(f"aperture orientation must be finite, got {self.orientation}")
+        object.__setattr__(self, "orientation", math.fmod(self.orientation, 2.0 * math.pi / 3.0))
 
 
 @dataclass(frozen=True)
 class OpticalParams:
-    """Wavelength, lens focal length, and beam waist of the optical train."""
+    """Beam waist of the optical train, the one optic a camera may set."""
 
-    wavelength: float = 532e-9
-    focal_length: float = 0.30
     beam_waist: float = 0.5e-3
 
     def __post_init__(self) -> None:
-        for name in ("wavelength", "focal_length", "beam_waist"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+        if not (np.isfinite(self.beam_waist) and self.beam_waist > 0):
+            raise ValueError(f"beam_waist must be positive, got {self.beam_waist}")
 
 
 @dataclass(frozen=True, eq=False)

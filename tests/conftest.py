@@ -18,6 +18,7 @@ from oamcnot.wavefield import (
     OpticalParams,
     ScalarField,
     TRIANGLE,
+    WAVELENGTH,
     aperture_box,
     aperture_mask,
     lg_mode,
@@ -91,13 +92,13 @@ def direct_field(
     box = FULL if aperture is None else aperture_box(grid, aperture)
 
     def mode(charge):
-        return lg_mode(grid, charge, params.beam_waist, params.wavelength, box).samples
+        return lg_mode(grid, charge, params.beam_waist, WAVELENGTH, box).samples
 
     if weights is None:
         samples = mode(ell)
     else:
         samples = weights[0] * mode(abs(ell)) + weights[1] * mode(-abs(ell))
-    field = ScalarField(samples, grid, params.wavelength, box)
+    field = ScalarField(samples, grid, WAVELENGTH, box)
     return field if aperture is None else apply_mask(field, aperture_mask(grid, aperture, box))
 
 
@@ -106,8 +107,8 @@ def direct_readout(
 ) -> ReadoutResult:
     """The signed mode's readout without ``readout.Camera``: ``lg_mode(ell)``
     on the box, the mask, ``render_image`` and ``classify_oam``."""
-    img, far_grid = render_image(direct_field(grid, params, aperture, ell), params.focal_length)
-    return classify_oam(img, aperture, far_grid, params)
+    img, far_grid = render_image(direct_field(grid, params, aperture, ell))
+    return classify_oam(img, aperture, far_grid)
 
 
 def fft_far_field(field: ScalarField, focal_length: float) -> ScalarField:

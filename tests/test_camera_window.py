@@ -47,12 +47,14 @@ from oamcnot.readout import (
     render_image,
 )
 from oamcnot.wavefield import (
+    FOCAL_LENGTH,
     FULL,
     ApertureSpec,
     Grid,
     OpticalParams,
     ScalarField,
     TRIANGLE,
+    WAVELENGTH,
     aperture_box,
     aperture_mask,
     far_field,
@@ -63,7 +65,7 @@ from oamcnot.wavefield import (
     window_tail_bound,
 )
 
-F = 0.30
+F = FOCAL_LENGTH
 #: How far a mode's samples on a box may be from the whole grid's there, as
 #: a fraction of the peak: the matrix product that builds the mode rounds
 #: by the box's shape (1.3e-15 the largest seen for |ell| <= 10).
@@ -72,7 +74,7 @@ BOX_ROUNDING = 2e-15
 
 def masked_box_field(grid, ell, aperture, params):
     box = aperture_box(grid, aperture)
-    mode = lg_mode(grid, ell, params.beam_waist, params.wavelength, box)
+    mode = lg_mode(grid, ell, params.beam_waist, WAVELENGTH, box)
     return apply_mask(mode, aperture_mask(grid, aperture, box))
 
 
@@ -160,7 +162,7 @@ class TestWindowTransform:
         # coordinates are the frame's slice, bit for bit
         n = default_grid.n
         point = (slice(n // 2, n // 2 + 1),) * 2
-        field = ScalarField(np.ones((1, 1)), default_grid, params.wavelength, point)
+        field = ScalarField(np.ones((1, 1)), default_grid, WAVELENGTH, point)
         frame = fft_far_field(field, F).grid
         assert any((m * frame.pitch) / m != frame.pitch for m in range(64, n + 1, 2))
         for m in range(64, n + 1, 2):
@@ -176,7 +178,7 @@ class TestWindowTransform:
     @pytest.mark.parametrize("case", ["unapertured vortex, 256", "masked box, 1024"])
     def test_whole_frame_is_the_fft(self, case, params):
         if case.startswith("unapertured"):
-            field = lg_mode(Grid(256, 8e-3), 3, params.beam_waist, params.wavelength)
+            field = lg_mode(Grid(256, 8e-3), 3, params.beam_waist, WAVELENGTH)
         else:
             grid = Grid(1024, 8e-3)
             field = masked_box_field(grid, -2, ApertureSpec(TRIANGLE, 2e-3, 0.4), params)
@@ -296,7 +298,7 @@ def test_the_bound_allocates_less_than_the_box(ell, params, default_grid):
 )
 def test_window_chosen_at_the_reference_optics(ell, m, params, paper_aperture, default_grid):
     field = masked_box_field(default_grid, ell, paper_aperture, params)
-    img, grid = render_image(field, F)
+    img, grid = render_image(field)
     assert img.shape == (m, m) and grid.n == m
 
 
@@ -320,7 +322,7 @@ def test_a_wide_window_skips_the_widths_the_first_rules_out(
     # width up to 144 fails against the 64-pixel window's maximum, so the
     # second window rendered is the last: 146, not the next power of two
     widths = counting_windows(monkeypatch)
-    render_image(masked_box_field(default_grid, 8, paper_aperture, params), F)
+    render_image(masked_box_field(default_grid, 8, paper_aperture, params))
     assert widths == [64, 146]
 
 
@@ -351,7 +353,7 @@ def narrowest_passing_width(field, widest):
 
 
 @pytest.mark.parametrize("ell", range(-10, 11))
-def test_skipping_picks_the_doubling_width_at_the_reference_optics(
+def test_the_window_is_the_narrowest_passing_even_width_in_at_most_two_renders(
     monkeypatch, ell, params, default_grid
 ):
     # the window render_image takes, straight after the first, is the
@@ -361,7 +363,7 @@ def test_skipping_picks_the_doubling_width_at_the_reference_optics(
         aperture = ApertureSpec(TRIANGLE, 2e-3, math.radians(degrees))
         field = masked_box_field(default_grid, ell, aperture, params)
         widths.clear()
-        m = render_image(field, F)[1].n
+        m = render_image(field)[1].n
         assert widths == ([64] if m == 64 else [64, m]), degrees
         assert narrowest_passing_width(field, m) == m, degrees
 
@@ -383,7 +385,7 @@ def test_a_window_whose_maximum_lies_past_the_first_still_holds_every_spot():
     top, centre = frame.max(), frame[n // 2 - 32 : n // 2 + 32, n // 2 - 32 : n // 2 + 32]
     assert centre.max() < top
 
-    img, far_grid = render_image(field, F)
+    img, far_grid = render_image(field)
     m = far_grid.n
     assert doubling_width(field) < m < n
     assert window_tail_bound(field, F)(m) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * img.max()
@@ -407,9 +409,9 @@ def test_window_reads_out_as_the_full_frame(n, ell, degrees, side_mm, waist_mm):
     aperture = ApertureSpec(TRIANGLE, side_mm * 1e-3, math.radians(degrees))
 
     def full_frame():
-        mode = lg_mode(grid, ell, params.beam_waist, params.wavelength)
-        far = fft_far_field(apply_mask(mode, aperture_mask(grid, aperture)), params.focal_length)
-        return classify_oam(intensity(far), aperture, far.grid, params)
+        mode = lg_mode(grid, ell, params.beam_waist, WAVELENGTH)
+        far = fft_far_field(apply_mask(mode, aperture_mask(grid, aperture)), F)
+        return classify_oam(intensity(far), aperture, far.grid)
 
     window = outcome(lambda: readout_roundtrip(ell, params, grid, aperture))
     assert window == outcome(full_frame)
@@ -428,7 +430,7 @@ def test_a_window_two_off_a_multiple_of_four_reflects_to_the_negated_read(
     def read(charge):
         img, far_grid = camera.image(aperture, charge)
         assert far_grid.n % 4 == 2
-        return classify_oam(img, aperture, far_grid, params)
+        return classify_oam(img, aperture, far_grid)
 
     plus, minus = read(ell), read(-ell)
     assert minus.topological_charge == -plus.topological_charge == -ell
@@ -485,8 +487,8 @@ def test_an_accepted_window_has_its_wrapped_edge_below_threshold(
     grid = Grid(n, 8e-3)
     params = OpticalParams(beam_waist=waist_mm * 1e-3)
     aperture = ApertureSpec(TRIANGLE, side_mm * 1e-3, math.radians(degrees))
-    plus, far_grid = render_image(masked_box_field(grid, ell, aperture, params), F)
-    minus, minus_grid = render_image(masked_box_field(grid, -ell, aperture, params), F)
+    plus, far_grid = render_image(masked_box_field(grid, ell, aperture, params))
+    minus, minus_grid = render_image(masked_box_field(grid, -ell, aperture, params))
     assert minus_grid == far_grid
     top = float(plus.max())
     if far_grid.n < n:
@@ -573,7 +575,7 @@ def test_camera_renders_a_superposition_from_both_modes(n, ell, degrees, angle, 
     box = aperture_box(grid, aperture.spec)
     mask = aperture_mask(grid, aperture.spec, box)
     plus, minus = (
-        lg_mode(grid, sign * ell, params.beam_waist, params.wavelength, box).samples
+        lg_mode(grid, sign * ell, params.beam_waist, WAVELENGTH, box).samples
         for sign in (1, -1)
     )
     for wave_outcome in wave.outcomes:
@@ -581,8 +583,8 @@ def test_camera_renders_a_superposition_from_both_modes(n, ell, degrees, angle, 
         chi = wave_outcome.axis.jones.conj() @ amps
         w_plus, w_minus = chi / np.linalg.norm(chi)
         assert w_plus != 0 and w_minus != 0 and wave_outcome.expected is None
-        field = ScalarField(w_plus * plus + w_minus * minus, grid, params.wavelength, box)
-        img, far_grid = render_image(apply_mask(field, mask), F)
+        field = ScalarField(w_plus * plus + w_minus * minus, grid, WAVELENGTH, box)
+        img, far_grid = render_image(apply_mask(field, mask))
         got, got_grid = camera.image(aperture.spec, ell, (w_plus, w_minus))
         assert got.tobytes() == img.tobytes() and got_grid == far_grid
         assert wave_outcome.readout is None
@@ -615,7 +617,7 @@ def test_the_camera_masks_the_mode_in_place(monkeypatch, ell, weights, frame, pa
     box = aperture_box(grid, aperture)
     mask = aperture_mask(grid, aperture, box)
     plus, minus = (
-        lg_mode(grid, sign * ell, params.beam_waist, params.wavelength, box).samples
+        lg_mode(grid, sign * ell, params.beam_waist, WAVELENGTH, box).samples
         for sign in (1, -1)
     )
     assert fields
@@ -637,6 +639,21 @@ def test_an_orientation_of_any_size_reads_the_charge(degrees, params):
         circ = parse(f"SOURCE pol=H oam={ell}\nTRIAPERTURE side=2 orientation={degrees}\nDETECT")
         (only,) = run_wave(circ, camera).outcomes
         assert only.readout.topological_charge == ell
+
+
+@pytest.mark.parametrize("radians", [1e17, -1e17, 1e300])
+def test_an_aperture_at_any_orientation_in_radians_keeps_its_triangle(radians, params):
+    # ApertureSpec keeps the angle modulo 2 pi / 3 with the exact math.fmod;
+    # unreduced, 1e17 rad rounded the vertex angles onto one value, a 4-pixel mask
+    aperture = ApertureSpec(TRIANGLE, 2e-3, radians)
+    assert abs(aperture.orientation) < 2.0 * math.pi / 3.0
+    assert ApertureSpec(TRIANGLE, 2e-3, -2.0).orientation == -2.0
+    grid = Grid(256, 8e-3)
+    # the triangle's area is 1773.6 pixels
+    assert abs(aperture_mask(grid, aperture, FULL).sum() - 1773.6) < 2
+    camera = Camera(grid, params)
+    for ell in (1, -3):
+        assert camera.read(aperture, ell).topological_charge == ell
 
 
 #: (side mm, orientation degrees) of the apertures drawn, so that draws repeat

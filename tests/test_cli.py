@@ -274,6 +274,28 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert "line 2, column 16: byte 0xe9 is not UTF-8" in report
 
+    def test_a_byte_order_mark_at_the_start_is_skipped(self, tmp_path):
+        # some editors start a UTF-8 file with one; it was read as part of SOURCE
+        plain, marked = tmp_path / "plain.circ", tmp_path / "marked.circ"
+        plain.write_text(REFERENCE_TEXT)
+        marked.write_bytes(b"\xef\xbb\xbf" + REFERENCE_TEXT.encode())
+        code, report = run_cli(["simulate", str(marked), *FAST])
+        assert code == EXIT_OK
+        assert report == run_cli(["simulate", str(plain), *FAST])[1].replace(
+            str(plain), str(marked)
+        )
+        assert report.endswith("outcome_agreement=yes\nstatus=ok\n")
+        # a bad byte's column does not count the mark
+        marked.write_bytes(b"\xef\xbb\xbfSOURCE \xff pol=H oam=1\n")
+        code, report = run_cli(["simulate", str(marked), *FAST])
+        assert code == EXIT_PARSE
+        assert "line 1, column 8: byte 0xff is not UTF-8" in report
+        # anywhere else, U+FEFF is a character of the statement
+        marked.write_bytes(b"SOURCE pol=H oam=1\n\xef\xbb\xbfDETECT\n")
+        code, report = run_cli(["simulate", str(marked), *FAST])
+        assert code == EXIT_PARSE
+        assert report.endswith("line 2, column 1: unknown keyword '\\ufeffDETECT'\n")
+
     def assert_superposition_is_not_read(self, report):
         assert report_values(report, "wave_error") == []
         assert report_values(report, "outcome_readout") == [

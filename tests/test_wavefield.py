@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +10,7 @@ from oamcnot.wavefield import (
     MAX_CHARGE,
     ApertureSpec,
     Grid,
+    OpticalParams,
     ScalarField,
     TRIANGLE,
     aperture_box,
@@ -77,6 +80,13 @@ class TestGrid:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             Grid(128, 0.0)
+
+
+def test_the_beam_waist_is_the_one_optic_to_set():
+    # the wavelength and the lens are the paper's, WAVELENGTH and FOCAL_LENGTH
+    assert [f.name for f in dataclasses.fields(OpticalParams)] == ["beam_waist"]
+    with pytest.raises(ValueError, match="beam_waist must be positive"):
+        OpticalParams(beam_waist=0.0)
 
 
 class TestScalarField:

@@ -1,8 +1,8 @@
 """Print the camera readout's map: for each grid n, side/w0 and charge,
 how the 12 orientations 3.7 + 10k degrees read.
 
-Every read goes through ``Camera.read`` at W = 8 mm and w0 = 0.5 mm, with
-the default wavelength and focal length.  A -ell outcome is the point
+Every read goes through ``Camera.read`` at W = 8 mm and w0 = 0.5 mm,
+through the camera's fixed lens.  A -ell outcome is the point
 reflection of the +ell image, so only ell = +1..+10 are read.  Each line
 counts the correct reads, the misreads (each charge read, with its count),
 the ``ClassificationError``s, the ``AmbiguousOrientationError``s and the
