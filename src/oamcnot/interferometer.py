@@ -66,13 +66,14 @@ class PathState:
         validate_amplitudes(self, (2, 2, 2))
 
 
-def inject_lower(pol: int, sign: int, magnitude: int = 1) -> PathState:
-    """Unit amplitude entering the first splitter on the lower port."""
+def inject_lower(pol: int, sign: int) -> PathState:
+    """Unit amplitude of OAM magnitude 1 entering the first splitter on the
+    lower port."""
     if pol not in (0, 1) or sign not in (0, 1):
         raise ValueError(f"pol and sign must be bits, got ({pol}, {sign})")
     amps = np.zeros((2, 2, 2), dtype=complex)
     amps[LOWER, pol, sign] = 1.0
-    return PathState(amps, magnitude)
+    return PathState(amps, 1)
 
 
 def pbs_apply(state: PathState, mode_label: str) -> PathState:

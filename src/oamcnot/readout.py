@@ -266,14 +266,14 @@ def render_image(field: ScalarField) -> tuple[np.ndarray, Grid]:
     same peaks in the window as in the whole frame.
     """
     n = field.grid.n
-    bound = window_tail_bound(field, FOCAL_LENGTH)
-    far = far_field(field, FOCAL_LENGTH, FIRST_WINDOW)
+    bound = window_tail_bound(field)
+    far = far_field(field, FIRST_WINDOW)
     img = intensity(far)
     top = THRESHOLD_FRAC * float(img.max())
     # the margin covers the rounding of the bound and of the transform
     m = next((m for m in range(FIRST_WINDOW, n, 2) if bound(m) ** 2 * (1.0 + 1e-9) < top), n)
     if m > FIRST_WINDOW:
-        far = far_field(field, FOCAL_LENGTH, m)
+        far = far_field(field, m)
         img = intensity(far)
     return img, far.grid
 
@@ -352,9 +352,9 @@ class Camera:
             if weights is not None:
                 samples = weights[0] * field.samples
                 samples += weights[1] * field.samples.conj()
-                field = ScalarField(samples, self.grid, WAVELENGTH, box)
+                field = ScalarField(samples, self.grid, box)
             if frame:
-                far = far_field(field, FOCAL_LENGTH)
+                far = far_field(field)
                 rendered = intensity(far), far.grid
             else:
                 rendered = render_image(field)

@@ -7,8 +7,9 @@ each axis, so the optical axis is the (n/2, n/2) sample.  A field sample
 
 A field may hold samples on a box of the grid only (a row slice and a
 column slice, zero elsewhere): the aperture's box is all a camera sees
-through it.  ``far_field`` is the one lens: a matrix DFT from the field's
-box onto a centred camera window, the whole frame being the widest one.
+through it.  ``far_field`` is the one lens, the paper's ``FOCAL_LENGTH``
+at its one ``WAVELENGTH``: a matrix DFT from the field's box onto a
+centred camera window, the whole frame being the widest one.
 """
 
 from __future__ import annotations
@@ -99,15 +100,13 @@ class OpticalParams:
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Complex field samples on a box of a grid (the whole grid by
-    default), with the wavelength they carry; the field is zero outside
-    the box.
+    default), at the one ``WAVELENGTH``; the field is zero outside the box.
 
     A complex ndarray passed in is frozen in place (made read-only), not
     copied; any other input is converted to a new read-only complex array."""
 
     samples: np.ndarray
     grid: Grid
-    wavelength: float
     box: Box = FULL
 
     def __post_init__(self) -> None:
@@ -118,8 +117,6 @@ class ScalarField:
                 f"samples shape {samples.shape} does not match the {shape} box "
                 f"of grid n = {self.grid.n}"
             )
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -143,7 +140,9 @@ def lg_mode(
 ) -> ScalarField:
     """Vortex mode of topological charge ``ell``, normalized to unit power
     on the whole grid, sampled on ``box`` and, given a ``mask`` of the box's
-    shape, multiplied by it in place; ``check_mode`` refuses it first.
+    shape, multiplied by it in place; ``check_mode`` refuses it first, and
+    any ``wavelength`` but ``WAVELENGTH`` (the parameter stays only because
+    the benchmark's tracer, ``perfbench/spans.py``, reads it by position).
 
     Amplitude (r sqrt2 / w0)^|ell| exp(-r^2/w0^2) with helical phase
     exp(i ell phi); ell = 0 degenerates to a plain Gaussian.  With
@@ -160,6 +159,8 @@ def lg_mode(
     power of the whole grid comes from 1-D sums, since
     |x + iy|^2L = sum_k C(L, k) x^2k y^2(L-k).
     """
+    if wavelength != WAVELENGTH:
+        raise ValueError(f"wavelength is fixed at {WAVELENGTH:g} m, got {wavelength!r}")
     check_mode(grid, ell, waist)
     big_l = abs(ell)
     c = grid.coords()
@@ -183,7 +184,7 @@ def lg_mode(
         if np.shape(mask) != field.shape:
             raise ValueError(f"mask shape {np.shape(mask)} does not match the {field.shape} box")
         field *= mask
-    return ScalarField(field, grid, wavelength, box)
+    return ScalarField(field, grid, box)
 
 
 def _vertices(grid: Grid, aperture: ApertureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -240,11 +241,9 @@ def aperture_mask(grid: Grid, aperture: ApertureSpec, box: Box = FULL) -> np.nda
     return inside.T
 
 
-def _lens_scale(field: ScalarField, focal_length: float) -> float:
-    """Amplitude scale of the lens transform: pitch^2 / (wavelength f)."""
-    if not focal_length > 0:
-        raise ValueError(f"focal length must be positive, got {focal_length}")
-    return field.grid.pitch**2 / (field.wavelength * focal_length)
+def _lens_scale(field: ScalarField) -> float:
+    """Amplitude scale of the lens transform: pitch^2 / (WAVELENGTH FOCAL_LENGTH)."""
+    return field.grid.pitch**2 / (WAVELENGTH * FOCAL_LENGTH)
 
 
 def _half_dft(a: np.ndarray, axis: slice, n: int, m: int) -> np.ndarray:
@@ -271,13 +270,13 @@ def _half_dft(a: np.ndarray, axis: slice, n: int, m: int) -> np.ndarray:
     return out
 
 
-def far_field(field: ScalarField, focal_length: float, m: int | None = None) -> ScalarField:
+def far_field(field: ScalarField, m: int | None = None) -> ScalarField:
     """Focal-plane field of a thin lens placed at the input plane, on the
     centred m x m window of the n x n camera frame (the whole frame when
     ``m`` is omitted; a window is any even width from 64 to n).
 
     The frame is the centred DFT of the field with output coordinates
-    x' = wavelength * focal_length * spatial frequency, scaled so the whole
+    x' = WAVELENGTH * FOCAL_LENGTH * spatial frequency, scaled so the whole
     frame holds the field's power.  It is computed from the field's box
     alone as the matrix DFT W_rows . samples . W_cols^T (Soummer et al.,
     Opt. Express 15, 15935 (2007)):
@@ -287,7 +286,7 @@ def far_field(field: ScalarField, focal_length: float, m: int | None = None) -> 
     takes one real product (``_half_dft``) per factor.  Every window
     carries the frame's pitch, so its coordinates are the frame's slice.
     """
-    scale = _lens_scale(field, focal_length)
+    scale = _lens_scale(field)
     n = field.grid.n
     m = n if m is None else m
     if m > n:
@@ -296,11 +295,11 @@ def far_field(field: ScalarField, focal_length: float, m: int | None = None) -> 
         raise ValueError(f"window of {m} pixels is not an even width >= 64")
     spectrum = _half_dft(_half_dft(field.samples, field.box[1], n, m), field.box[0], n, m)
     spectrum *= scale
-    pitch = field.wavelength * focal_length / field.grid.window
-    return ScalarField(spectrum, Grid(m, m * pitch, pitch), field.wavelength)
+    pitch = WAVELENGTH * FOCAL_LENGTH / field.grid.window
+    return ScalarField(spectrum, Grid(m, m * pitch, pitch))
 
 
-def window_tail_bound(field: ScalarField, focal_length: float) -> Callable[[int], float]:
+def window_tail_bound(field: ScalarField) -> Callable[[int], float]:
     """Upper bound on |far_field(field)| at every pixel outside the centred
     m x m window, as a function of m.
 
@@ -316,7 +315,7 @@ def window_tail_bound(field: ScalarField, focal_length: float) -> Callable[[int]
     across rows, so no temporary is the box's size.  The zero padding adds
     the first and last samples along each axis, once.
     """
-    scale = _lens_scale(field, focal_length)
+    scale = _lens_scale(field)
     f = field.samples if field.samples.flags.c_contiguous else field.samples.T
     rows = max(1, _TV_BLOCK // f.shape[1])
     tv = np.array([np.abs(f[:, [0, -1]]).sum(), np.abs(f[[0, -1]]).sum()])
@@ -331,12 +330,6 @@ def window_tail_bound(field: ScalarField, focal_length: float) -> Callable[[int]
 def intensity(field: ScalarField) -> np.ndarray:
     """Pointwise squared magnitude of the field."""
     return np.abs(field.samples) ** 2
-
-
-def power(field: ScalarField) -> float:
-    """Total power: sum of |sample|^2 times the pixel area (zero outside
-    the field's box)."""
-    return float(np.sum(np.abs(field.samples) ** 2) * field.grid.pitch**2)
 
 
 def point_reflect(img: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from oamcnot.readout import (
     render_image,
 )
 from oamcnot.wavefield import (
+    FOCAL_LENGTH,
     FULL,
     ApertureSpec,
     Grid,
@@ -47,7 +48,7 @@ def mesh(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(c, c)
 
 
-def circle_field(grid: Grid, diameter: float, wavelength: float) -> ScalarField:
+def circle_field(grid: Grid, diameter: float) -> ScalarField:
     """Unit transmission through a centred circle: the pixels whose centres
     satisfy x^2 + y^2 <= (d/2)^2, on the smallest box of grid samples that
     holds the circle.  The aperture whose far field is the Airy pattern."""
@@ -56,7 +57,7 @@ def circle_field(grid: Grid, diameter: float, wavelength: float) -> ScalarField:
     span = slice(grid.n // 2 - half, grid.n // 2 + half + 1)
     c = grid.coords()[span]
     inside = c[np.newaxis, :] ** 2 + c[:, np.newaxis] ** 2 <= radius**2
-    return ScalarField(inside.astype(complex), grid, wavelength, (span, span))
+    return ScalarField(inside.astype(complex), grid, (span, span))
 
 
 def verify_cnot(matrix: np.ndarray) -> float:
@@ -67,6 +68,12 @@ def verify_cnot(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(m / phase - CNOT_MATRIX)))
 
 
+def power(field: ScalarField) -> float:
+    """Total power: sum of |sample|^2 times the pixel area (zero outside
+    the field's box)."""
+    return float(np.sum(np.abs(field.samples) ** 2) * field.grid.pitch**2)
+
+
 def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
     """Pointwise transmission of the field through a real mask: the
     reference for the mask that ``lg_mode`` multiplies in place."""
@@ -75,7 +82,7 @@ def apply_mask(field: ScalarField, mask: np.ndarray) -> ScalarField:
         raise ValueError(
             f"mask shape {mask.shape} does not match field shape {field.samples.shape}"
         )
-    return ScalarField(field.samples * mask, field.grid, field.wavelength, field.box)
+    return ScalarField(field.samples * mask, field.grid, field.box)
 
 
 def direct_field(
@@ -98,7 +105,7 @@ def direct_field(
         samples = mode(ell)
     else:
         samples = weights[0] * mode(abs(ell)) + weights[1] * mode(-abs(ell))
-    field = ScalarField(samples, grid, WAVELENGTH, box)
+    field = ScalarField(samples, grid, box)
     return field if aperture is None else apply_mask(field, aperture_mask(grid, aperture, box))
 
 
@@ -111,24 +118,24 @@ def direct_readout(
     return classify_oam(img, aperture, far_grid)
 
 
-def fft_far_field(field: ScalarField, focal_length: float) -> ScalarField:
+def fft_far_field(field: ScalarField) -> ScalarField:
     """Reference lens, independent of the package's matrix DFT: the field
     zero-padded to the whole grid, a centred FFT, and the power-conserving
-    scale pitch^2 / (wavelength f), on the whole camera frame."""
+    scale pitch^2 / (WAVELENGTH FOCAL_LENGTH), on the whole camera frame."""
     n = field.grid.n
     samples = np.zeros((n, n), dtype=complex)
     samples[field.box] = field.samples
     spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(samples)))
-    lam_f = field.wavelength * focal_length
+    lam_f = WAVELENGTH * FOCAL_LENGTH
     spectrum *= field.grid.pitch**2 / lam_f
-    return ScalarField(spectrum, Grid(n, n * lam_f / field.grid.window), field.wavelength)
+    return ScalarField(spectrum, Grid(n, n * lam_f / field.grid.window))
 
 
-def matrix_far_field(field: ScalarField, focal_length: float, m: int | None = None) -> np.ndarray:
+def matrix_far_field(field: ScalarField, m: int | None = None) -> np.ndarray:
     """``far_field``'s samples by its definition, in complex arithmetic: the
     matrix DFT W_rows . samples . W_cols^T with
     W[u, p] = exp(-2 pi i ((u p) mod n) / n) for u in [-m/2, m/2), times the
-    lens scale pitch^2 / (wavelength f)."""
+    lens scale pitch^2 / (WAVELENGTH FOCAL_LENGTH)."""
     n = field.grid.n
     m = n if m is None else m
     phase = np.exp(-2j * np.pi * np.arange(n) / n)
@@ -138,7 +145,7 @@ def matrix_far_field(field: ScalarField, focal_length: float, m: int | None = No
         return phase[np.outer(u, np.arange(n)[axis] - n // 2) % n]
 
     spectrum = dft(field.box[0]) @ field.samples @ dft(field.box[1]).T
-    return spectrum * (field.grid.pitch**2 / (field.wavelength * focal_length))
+    return spectrum * (field.grid.pitch**2 / (WAVELENGTH * FOCAL_LENGTH))
 
 
 def full_image_find_peaks(

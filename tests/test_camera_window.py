@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply_mask, direct_readout, fft_far_field
+from conftest import apply_mask, direct_readout, fft_far_field, power
 from oamcnot import readout
 from oamcnot.circuit import (
     Circuit,
@@ -61,11 +61,9 @@ from oamcnot.wavefield import (
     intensity,
     lg_mode,
     point_reflect,
-    power,
     window_tail_bound,
 )
 
-F = FOCAL_LENGTH
 #: How far a mode's samples on a box may be from the whole grid's there, as
 #: a fraction of the peak: the matrix product that builds the mode rounds
 #: by the box's shape (1.3e-15 the largest seen for |ell| <= 10).
@@ -138,7 +136,7 @@ class TestBox:
 
     def test_box_field_shape_is_checked(self):
         with pytest.raises(ValueError, match="does not match"):
-            ScalarField(np.zeros((3, 4)), Grid(64, 8e-3), 532e-9, (slice(0, 4), slice(0, 4)))
+            ScalarField(np.zeros((3, 4)), Grid(64, 8e-3), (slice(0, 4), slice(0, 4)))
 
 
 class TestWindowTransform:
@@ -146,9 +144,9 @@ class TestWindowTransform:
     def test_window_is_the_full_frames_centre(self, ell, params):
         grid = Grid(256, 8e-3)
         field = masked_box_field(grid, ell, ApertureSpec(TRIANGLE, 2e-3, 0.4), params)
-        full = fft_far_field(field, F)
+        full = fft_far_field(field)
         for m in (64, 128, 256):
-            window = far_field(field, F, m)
+            window = far_field(field, m)
             lo = grid.n // 2 - m // 2
             centre = full.samples[lo : lo + m, lo : lo + m]
             scale = np.abs(full.samples).max()
@@ -162,18 +160,18 @@ class TestWindowTransform:
         # coordinates are the frame's slice, bit for bit
         n = default_grid.n
         point = (slice(n // 2, n // 2 + 1),) * 2
-        field = ScalarField(np.ones((1, 1)), default_grid, WAVELENGTH, point)
-        frame = fft_far_field(field, F).grid
+        field = ScalarField(np.ones((1, 1)), default_grid, point)
+        frame = fft_far_field(field).grid
         assert any((m * frame.pitch) / m != frame.pitch for m in range(64, n + 1, 2))
         for m in range(64, n + 1, 2):
             lo = n // 2 - m // 2
-            window = far_field(field, F, m).grid
+            window = far_field(field, m).grid
             assert window.coords().tobytes() == frame.coords()[lo : lo + m].tobytes(), m
 
     def test_window_wider_than_the_grid_is_refused(self, params):
         field = masked_box_field(Grid(128, 8e-3), 1, ApertureSpec(TRIANGLE, 2e-3), params)
         with pytest.raises(ValueError, match="exceeds"):
-            far_field(field, F, 256)
+            far_field(field, 256)
 
     @pytest.mark.parametrize("case", ["unapertured vortex, 256", "masked box, 1024"])
     def test_whole_frame_is_the_fft(self, case, params):
@@ -182,8 +180,8 @@ class TestWindowTransform:
         else:
             grid = Grid(1024, 8e-3)
             field = masked_box_field(grid, -2, ApertureSpec(TRIANGLE, 2e-3, 0.4), params)
-        full = fft_far_field(field, F)
-        whole = far_field(field, F)
+        full = fft_far_field(field)
+        whole = far_field(field)
         scale = np.abs(full.samples).max()
         assert np.abs(whole.samples - full.samples).max() < 1e-12 * scale
         assert whole.grid == full.grid
@@ -220,10 +218,10 @@ def test_every_pixel_outside_a_window_is_within_its_bound(n, side_mm, waist_mm, 
     params = OpticalParams(beam_waist=waist_mm * 1e-3)
     aperture = ApertureSpec(TRIANGLE, side_mm * 1e-3, math.radians(degrees))
     field = masked_box_field(grid, ell, aperture, params)
-    rings = ring_maxima(intensity(fft_far_field(field, F)))
+    rings = ring_maxima(intensity(fft_far_field(field)))
     # beyond[r]: the largest pixel on ring r or outside it
     beyond = np.maximum.accumulate(rings[::-1])[::-1]
-    bound = window_tail_bound(field, F)
+    bound = window_tail_bound(field)
     for m in range(64, n, 2):
         assert beyond[m // 2 + 1] <= bound(m) ** 2, m
 
@@ -237,20 +235,20 @@ def test_the_bound_is_tight_for_a_plane_wave_just_outside_the_window():
     box = (slice(96, 160), slice(64, 192))
     x = np.arange(box[1].start, box[1].stop) - n // 2
     samples = np.tile(np.exp(2j * np.pi * (m // 2) * x / n), (64, 1))
-    field = ScalarField(samples, grid, 532e-9, box)
-    peak = intensity(fft_far_field(field, F)).max()
-    assert peak <= window_tail_bound(field, F)(m) ** 2 <= 1.05 * peak
+    field = ScalarField(samples, grid, box)
+    peak = intensity(fft_far_field(field)).max()
+    assert peak <= window_tail_bound(field)(m) ** 2 <= 1.05 * peak
 
 
 def direct_tail_bound(field, m):
-    """``window_tail_bound(field, F)(m)`` with each axis's variation summed
+    """``window_tail_bound(field)(m)`` with each axis's variation summed
     over the whole box at once: one ``np.diff`` of the samples per axis."""
     f = field.samples
     variation = max(
         np.abs(np.diff(f, axis=axis)).sum() + np.abs(f.take([0, -1], axis=axis)).sum()
         for axis in (0, 1)
     )
-    scale = field.grid.pitch**2 / (field.wavelength * F)
+    scale = field.grid.pitch**2 / (WAVELENGTH * FOCAL_LENGTH)
     return scale * variation / (2.0 * math.sin(math.pi * m / (2 * field.grid.n)))
 
 
@@ -263,7 +261,7 @@ def test_the_blocked_bound_is_the_whole_box_sum(n, degrees, params):
         field = masked_box_field(Grid(n, 8e-3), ell, aperture, params)
         for m in (64, n // 2, n):
             want = direct_tail_bound(field, m)
-            assert abs(window_tail_bound(field, F)(m) - want) <= 1e-15 * want, (ell, m)
+            assert abs(window_tail_bound(field)(m) - want) <= 1e-15 * want, (ell, m)
 
 
 @pytest.mark.parametrize("layout", ["row-major", "column-major"])
@@ -274,9 +272,9 @@ def test_blocks_with_a_short_last_one_sum_every_difference(layout):
     samples = rng.normal(size=(130, 1000)) + 1j * rng.normal(size=(130, 1000))
     if layout == "column-major":
         samples = np.asfortranarray(samples)
-    field = ScalarField(samples, Grid(1024, 8e-3), 532e-9, (slice(40, 170), slice(12, 1012)))
+    field = ScalarField(samples, Grid(1024, 8e-3), (slice(40, 170), slice(12, 1012)))
     want = direct_tail_bound(field, 64)
-    assert abs(window_tail_bound(field, F)(64) - want) <= 1e-15 * want
+    assert abs(window_tail_bound(field)(64) - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("ell", [1, 8])
@@ -286,7 +284,7 @@ def test_the_bound_allocates_less_than_the_box(ell, params, default_grid):
     field = masked_box_field(default_grid, ell, aperture, params)
     tracemalloc.start()
     try:
-        window_tail_bound(field, F)
+        window_tail_bound(field)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -307,9 +305,9 @@ def counting_windows(monkeypatch):
     widths = []
     real = readout.far_field
 
-    def wrapper(field, focal_length, m=None):
+    def wrapper(field, m=None):
         widths.append(m)
-        return real(field, focal_length, m)
+        return real(field, m)
 
     monkeypatch.setattr(readout, "far_field", wrapper)
     return widths
@@ -329,10 +327,10 @@ def test_a_wide_window_skips_the_widths_the_first_rules_out(
 def doubling_width(field):
     """The narrowest of 64, 128, ... that passes the acceptance test against
     its own maximum, every narrower one rendered and refused."""
-    bound = window_tail_bound(field, F)
+    bound = window_tail_bound(field)
     m = 64
     while m < field.grid.n:
-        top = THRESHOLD_FRAC * float(intensity(far_field(field, F, m)).max())
+        top = THRESHOLD_FRAC * float(intensity(far_field(field, m)).max())
         if bound(m) ** 2 * (1.0 + 1e-9) < top:
             break
         m *= 2
@@ -344,8 +342,8 @@ def narrowest_passing_width(field, widest):
     acceptance test against its own maximum, every one of them tried, or
     None.  Each window's maximum is that of its centred rings in one
     ``widest``-wide window, which holds them all."""
-    bound = window_tail_bound(field, F)
-    within = np.maximum.accumulate(ring_maxima(intensity(far_field(field, F, widest))))
+    bound = window_tail_bound(field)
+    within = np.maximum.accumulate(ring_maxima(intensity(far_field(field, widest))))
     for m in range(64, widest + 1, 2):
         if bound(m) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * within[m // 2]:
             return m
@@ -380,15 +378,15 @@ def test_a_window_whose_maximum_lies_past_the_first_still_holds_every_spot():
     x = np.arange(384, 640) - n // 2
     envelope = np.exp(-((x[:, None] / 40.0) ** 2) - (x[None, :] / 40.0) ** 2)
     samples = envelope * (0.5 + np.exp(2j * np.pi * 40 * x[None, :] / n))
-    field = ScalarField(samples, grid, 532e-9, box)
-    frame = intensity(fft_far_field(field, F))
+    field = ScalarField(samples, grid, box)
+    frame = intensity(fft_far_field(field))
     top, centre = frame.max(), frame[n // 2 - 32 : n // 2 + 32, n // 2 - 32 : n // 2 + 32]
     assert centre.max() < top
 
     img, far_grid = render_image(field)
     m = far_grid.n
     assert doubling_width(field) < m < n
-    assert window_tail_bound(field, F)(m) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * img.max()
+    assert window_tail_bound(field)(m) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * img.max()
     assert abs(img.max() - top) < 1e-12 * top
     outside = frame.copy()
     outside[n // 2 - m // 2 : n // 2 + m // 2, n // 2 - m // 2 : n // 2 + m // 2] = 0.0
@@ -410,7 +408,7 @@ def test_window_reads_out_as_the_full_frame(n, ell, degrees, side_mm, waist_mm):
 
     def full_frame():
         mode = lg_mode(grid, ell, params.beam_waist, WAVELENGTH)
-        far = fft_far_field(apply_mask(mode, aperture_mask(grid, aperture)), F)
+        far = fft_far_field(apply_mask(mode, aperture_mask(grid, aperture)))
         return classify_oam(intensity(far), aperture, far.grid)
 
     window = outcome(lambda: readout_roundtrip(ell, params, grid, aperture))
@@ -583,7 +581,7 @@ def test_camera_renders_a_superposition_from_both_modes(n, ell, degrees, angle, 
         chi = wave_outcome.axis.jones.conj() @ amps
         w_plus, w_minus = chi / np.linalg.norm(chi)
         assert w_plus != 0 and w_minus != 0 and wave_outcome.expected is None
-        field = ScalarField(w_plus * plus + w_minus * minus, grid, WAVELENGTH, box)
+        field = ScalarField(w_plus * plus + w_minus * minus, grid, box)
         img, far_grid = render_image(apply_mask(field, mask))
         got, got_grid = camera.image(aperture.spec, ell, (w_plus, w_minus))
         assert got.tobytes() == img.tobytes() and got_grid == far_grid
@@ -595,9 +593,9 @@ def lens_inputs(monkeypatch):
     fields = []
     real = readout.far_field
 
-    def wrapper(field, focal_length, m=None):
+    def wrapper(field, m=None):
         fields.append(field.samples)
-        return real(field, focal_length, m)
+        return real(field, m)
 
     monkeypatch.setattr(readout, "far_field", wrapper)
     return fields

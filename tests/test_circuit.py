@@ -29,7 +29,7 @@ from oamcnot.hybrid import (
 )
 from oamcnot.interferometer import compose_mzi
 from oamcnot.readout import Camera
-from oamcnot.wavefield import FOCAL_LENGTH, TRIANGLE, Grid, OpticalParams, far_field, intensity
+from oamcnot.wavefield import TRIANGLE, Grid, OpticalParams, far_field, intensity
 
 REFERENCE_TEXT = (
     "SOURCE pol=V oam=1\n"
@@ -445,7 +445,7 @@ class TestRunWave:
             for outcome in wave.outcomes:
                 assert outcome.readout is None
                 field = direct_field(fast_grid, params, aperture, 1)
-                img = intensity(far_field(field, FOCAL_LENGTH))
+                img = intensity(far_field(field))
                 assert img.shape == (fast_grid.n, fast_grid.n)
                 assert np.array_equal(outcome.intensity_map, img)
 
@@ -544,7 +544,7 @@ class TestSynthesizeField:
         wave = run_wave(parse(text), Camera(fast_grid, params), full_frame=True)
         (outcome,) = wave.outcomes
         assert [args[1] for args in calls] == [1]
-        far = far_field(direct_field(fast_grid, params, None, 1), FOCAL_LENGTH)
+        far = far_field(direct_field(fast_grid, params, None, 1))
         assert np.array_equal(outcome.intensity_map, intensity(far))
 
     def test_superposition_outcome_builds_both_modes(self, monkeypatch, fast_grid, params):
@@ -559,7 +559,7 @@ class TestSynthesizeField:
             w_plus, w_minus = chi / np.linalg.norm(chi)
             assert w_plus != 0 and w_minus != 0 and outcome.expected is None
             field = direct_field(fast_grid, params, None, 1, (w_plus, w_minus))
-            img = intensity(far_field(field, FOCAL_LENGTH))
+            img = intensity(far_field(field))
             assert np.array_equal(outcome.intensity_map, img)
 
 

@@ -8,9 +8,7 @@ from conftest import apply_mask, full_image_find_peaks, mesh
 from oamcnot import readout
 from oamcnot.readout import (
     AMBIGUITY_MARGIN,
-    FIRST_WINDOW,
     POSITIVE_LATTICE_ROTATION,
-    THRESHOLD_FRAC,
     TIE_FRACTION,
     AmbiguousOrientationError,
     Camera,
@@ -39,7 +37,6 @@ from oamcnot.wavefield import (
     intensity,
     lg_mode,
     point_reflect,
-    window_tail_bound,
 )
 
 LAM, F, W0 = WAVELENGTH, FOCAL_LENGTH, 0.5e-3
@@ -58,7 +55,7 @@ def gaussian_spots(grid, centers, widths=None, amplitudes=None):
 
 def far_intensity(ell, grid, aperture):
     field = lg_mode(grid, ell, W0, LAM)
-    out = far_field(apply_mask(field, aperture_mask(grid, aperture)), F)
+    out = far_field(apply_mask(field, aperture_mask(grid, aperture)))
     return intensity(out), out.grid
 
 
@@ -377,40 +374,6 @@ def test_the_vote_scores_an_ideal_lattice_and_its_point_reflection(n_side):
     rng = np.random.default_rng(n_side)
     for moved in (pts * 1e-150, pts * 1e150, shifted, rng.permutation(pts)):
         assert abs(readout._harmonic_score(moved, direction) - score) <= 1e-15
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    wavelength_nm=st.floats(400.0, 1100.0),
-    focal_cm=st.floats(5.0, 100.0),
-    ell=st.integers(-8, 8),
-    degrees=st.floats(0.0, 120.0, exclude_max=True),
-)
-def test_wavelength_and_focal_length_move_no_spot(wavelength_nm, focal_cm, ell, degrees):
-    # The camera pitch is wavelength * f / window, so the optics only
-    # rescale the image: the tail bound takes the camera's window at any
-    # wavelength and focal length, and the intensities scale by (lambda f)^-2.
-    grid = Grid(256, 8e-3)
-    aperture = ApertureSpec(TRIANGLE, 2e-3, np.radians(degrees))
-    box = aperture_box(grid, aperture)
-    mask = aperture_mask(grid, aperture, box)
-
-    def window(lam, f):
-        """The field at ``lam`` and the width render_image's rule takes through ``f``."""
-        field = apply_mask(lg_mode(grid, ell, W0, lam, box), mask)
-        bound = window_tail_bound(field, f)
-        top = THRESHOLD_FRAC * float(intensity(far_field(field, f, FIRST_WINDOW)).max())
-        widths = range(FIRST_WINDOW, grid.n, 2)
-        return field, next((m for m in widths if bound(m) ** 2 * (1.0 + 1e-9) < top), grid.n)
-
-    lam, f = wavelength_nm * 1e-9, focal_cm * 1e-2
-    field, m = window(lam, f)
-    camera_field, camera_m = window(WAVELENGTH, FOCAL_LENGTH)
-    reference, far_grid = render_image(camera_field)
-    assert m == camera_m == far_grid.n
-    scaled = reference * (WAVELENGTH * FOCAL_LENGTH / (lam * f)) ** 2
-    image = intensity(far_field(field, f, m))
-    assert np.max(np.abs(image - scaled)) <= 1e-12 * np.max(scaled)
 
 
 def test_a_half_degree_orientation_scan_never_misreads():

@@ -1,11 +1,14 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import apply_mask, circle_field, matrix_far_field, mesh
+from conftest import apply_mask, circle_field, matrix_far_field, mesh, power
+from oamcnot import wavefield
 from oamcnot.wavefield import (
+    FOCAL_LENGTH,
     FULL,
     MAX_CHARGE,
     ApertureSpec,
@@ -13,23 +16,23 @@ from oamcnot.wavefield import (
     OpticalParams,
     ScalarField,
     TRIANGLE,
+    WAVELENGTH,
     aperture_box,
     aperture_mask,
     far_field,
     intensity,
     lg_mode,
     point_reflect,
-    power,
 )
 
 LAM, F, W0 = 532e-9, 0.30, 0.5e-3
 
 
-def random_field(rng, grid, wavelength=LAM):
+def random_field(rng, grid):
     samples = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal(
         (grid.n, grid.n)
     )
-    return ScalarField(samples, grid, wavelength)
+    return ScalarField(samples, grid)
 
 
 def radial_profile(img, grid, bin_px=1.0):
@@ -82,23 +85,27 @@ class TestGrid:
             Grid(128, 0.0)
 
 
-def test_the_beam_waist_is_the_one_optic_to_set():
+def test_the_beam_waist_is_the_one_optic_to_set(fast_grid):
     # the wavelength and the lens are the paper's, WAVELENGTH and FOCAL_LENGTH
     assert [f.name for f in dataclasses.fields(OpticalParams)] == ["beam_waist"]
     with pytest.raises(ValueError, match="beam_waist must be positive"):
         OpticalParams(beam_waist=0.0)
+    # a field carries no wavelength, and a mode is built at WAVELENGTH alone
+    assert [f.name for f in dataclasses.fields(ScalarField)] == ["samples", "grid", "box"]
+    with pytest.raises(ValueError, match="wavelength is fixed"):
+        lg_mode(fast_grid, 1, W0, 633e-9)
 
 
 class TestScalarField:
     def test_complex_array_is_frozen_not_copied(self, fast_grid):
         samples = np.ones((fast_grid.n, fast_grid.n), dtype=complex)
-        field = ScalarField(samples, fast_grid, LAM)
+        field = ScalarField(samples, fast_grid)
         assert field.samples is samples
         assert not samples.flags.writeable
 
     def test_other_input_is_converted(self, fast_grid):
         samples = np.ones((fast_grid.n, fast_grid.n))
-        field = ScalarField(samples, fast_grid, LAM)
+        field = ScalarField(samples, fast_grid)
         assert field.samples.dtype == complex and not field.samples.flags.writeable
         assert samples.flags.writeable
 
@@ -173,6 +180,16 @@ class TestLgMode:
     def test_charge_range_enforced(self, fast_grid):
         with pytest.raises(ValueError, match="supported range"):
             lg_mode(fast_grid, 11, W0, LAM)
+
+    @pytest.mark.parametrize(
+        "wavelength",
+        [633e-9, np.nextafter(WAVELENGTH, 1.0), 0.0, -WAVELENGTH, float("nan")],
+    )
+    def test_any_other_wavelength_is_refused(self, fast_grid, wavelength):
+        # the nearest float above 532 nm is refused as 633 nm is, and so are
+        # the zero, negative and NaN wavelengths a positivity check once refused
+        with pytest.raises(ValueError, match="wavelength is fixed at 5.32e-07 m"):
+            lg_mode(fast_grid, 1, W0, wavelength)
 
 
 class TestApertureMask:
@@ -258,17 +275,17 @@ class TestFarField:
     def test_parseval(self, rng, fast_grid):
         for _ in range(20):
             field = random_field(rng, fast_grid)
-            ratio = power(far_field(field, F)) / power(field)
+            ratio = power(far_field(field)) / power(field)
             assert abs(ratio - 1.0) < 1e-10
 
     def test_output_grid_scaling(self, fast_grid):
-        out = far_field(lg_mode(fast_grid, 0, W0, LAM), F)
+        out = far_field(lg_mode(fast_grid, 0, W0, LAM))
         assert out.grid.n == fast_grid.n
         assert abs(out.grid.pitch - LAM * F / fast_grid.window) < 1e-18
 
     def test_gaussian_waist(self, default_grid):
         # the centred 128-pixel window holds the spot out to 12 waists
-        out = far_field(lg_mode(default_grid, 0, W0, LAM), F, 128)
+        out = far_field(lg_mode(default_grid, 0, W0, LAM), 128)
         img = intensity(out)
         x, y = mesh(out.grid)
         w_measured = np.sqrt(2.0 * np.sum(img * (x**2 + y**2)) / np.sum(img))
@@ -278,7 +295,7 @@ class TestFarField:
     def test_airy_first_zero(self):
         grid = Grid(1024, 16e-3)
         d = 1e-3
-        out = far_field(circle_field(grid, d, LAM), F)
+        out = far_field(circle_field(grid, d))
         prof, width = radial_profile(intensity(out), out.grid)
         k = int(np.argmax(prof))
         while k + 1 < len(prof) and prof[k + 1] < prof[k]:
@@ -297,7 +314,7 @@ class TestFarField:
         # waist lambda f / (pi w0) on the far grid (window n lambda f / W).
         # This pins the lens scale, the conjugate waist and the winding sign.
         grid = Grid(n, 8e-3)
-        out = far_field(lg_mode(grid, ell, W0, LAM), F)
+        out = far_field(lg_mode(grid, ell, W0, LAM))
         assert out.grid.window == n * (LAM * F / grid.window)
         want = (-1j) ** abs(ell) * lg_mode(out.grid, ell, LAM * F / (np.pi * W0), LAM).samples
         assert np.max(np.abs(out.samples - want)) <= 1e-14 * np.max(np.abs(want))
@@ -306,18 +323,16 @@ class TestFarField:
         a = random_field(rng, fast_grid)
         b = random_field(rng, fast_grid)
         alpha, beta = 0.3 - 0.8j, 1.1 + 0.2j
-        mixed = ScalarField(
-            alpha * a.samples + beta * b.samples, fast_grid, LAM
-        )
-        direct = far_field(mixed, F).samples
-        separate = alpha * far_field(a, F).samples + beta * far_field(b, F).samples
+        mixed = ScalarField(alpha * a.samples + beta * b.samples, fast_grid)
+        direct = far_field(mixed).samples
+        separate = alpha * far_field(a).samples + beta * far_field(b).samples
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - separate)) / scale < 1e-12
 
     def test_donut_null(self, default_grid):
         for ell in (1, -2):
             # the centred 64-pixel window holds the whole donut
-            img = intensity(far_field(lg_mode(default_grid, ell, W0, LAM), F, 64))
+            img = intensity(far_field(lg_mode(default_grid, ell, W0, LAM), 64))
             c = 64 // 2
             assert img[c, c] < 1e-6 * img.max()
 
@@ -326,8 +341,8 @@ class TestFarField:
         # this is what makes the sign readout possible at all
         mask = aperture_mask(fast_grid, ApertureSpec(TRIANGLE, 2e-3))
         for ell in (1, 2, 3):
-            plus = intensity(far_field(apply_mask(lg_mode(fast_grid, ell, W0, LAM), mask), F))
-            minus = intensity(far_field(apply_mask(lg_mode(fast_grid, -ell, W0, LAM), mask), F))
+            plus = intensity(far_field(apply_mask(lg_mode(fast_grid, ell, W0, LAM), mask)))
+            minus = intensity(far_field(apply_mask(lg_mode(fast_grid, -ell, W0, LAM), mask)))
             assert np.max(np.abs(plus - point_reflect(minus))) / plus.max() < 1e-9
 
     def test_either_layout_gives_the_same_bits(self, default_grid):
@@ -335,21 +350,27 @@ class TestFarField:
         aperture = ApertureSpec(TRIANGLE, 2e-3, np.radians(37.0))
         box = aperture_box(default_grid, aperture)
         field = lg_mode(default_grid, 2, W0, LAM, box, aperture_mask(default_grid, aperture, box))
-        row_major = ScalarField(np.ascontiguousarray(field.samples), default_grid, LAM, box)
+        row_major = ScalarField(np.ascontiguousarray(field.samples), default_grid, box)
         for m in (64, None):
-            got = far_field(field, F, m).samples
-            assert got.tobytes() == far_field(row_major, F, m).samples.tobytes()
+            got = far_field(field, m).samples
+            assert got.tobytes() == far_field(row_major, m).samples.tobytes()
 
     @pytest.mark.parametrize("m", [32, 0, -64, 97])
     def test_window_not_an_even_width_from_64_is_refused(self, m):
         # any even width from 64 to n is a window; 96 is accepted
         field = lg_mode(Grid(128, 8e-3), 1, W0, LAM)
         with pytest.raises(ValueError, match=f"window of {m} pixels is not an even width >= 64"):
-            far_field(field, F, m)
+            far_field(field, m)
 
-    def test_bad_focal_length(self, fast_grid):
-        with pytest.raises(ValueError, match="focal"):
-            far_field(lg_mode(fast_grid, 0, W0, LAM), 0.0)
+    def test_the_lens_is_the_fixed_optics(self, fast_grid):
+        # no focal length to pass: the far pitch and the lens scale are the
+        # products of WAVELENGTH and FOCAL_LENGTH, bit for bit
+        assert list(inspect.signature(far_field).parameters) == ["field", "m"]
+        assert list(inspect.signature(wavefield.window_tail_bound).parameters) == ["field"]
+        field = lg_mode(fast_grid, 1, W0, WAVELENGTH)
+        lam_f = WAVELENGTH * FOCAL_LENGTH
+        assert far_field(field).grid.pitch == lam_f / fast_grid.window
+        assert wavefield._lens_scale(field) == fast_grid.pitch**2 / lam_f
 
 
 @st.composite
@@ -383,10 +404,10 @@ def test_lens_is_its_matrix_dft_definition(case, seed):
     shape = tuple(len(range(n)[s]) for s in box)
     rng = np.random.default_rng(seed)
     field = ScalarField(
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid, LAM, box
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid, box
     )
-    want = matrix_far_field(field, F, m)
-    got = far_field(field, F, m)
+    want = matrix_far_field(field, m)
+    got = far_field(field, m)
     assert got.samples.dtype == complex and got.samples.flags.c_contiguous
     assert got.samples.shape == (m, m) and got.grid.n == m
     assert np.abs(got.samples - want).max() <= 1e-14 * np.abs(want).max()
@@ -394,18 +415,18 @@ def test_lens_is_its_matrix_dft_definition(case, seed):
 
 class TestIntensityAndPower:
     def test_zero_field(self, fast_grid):
-        field = ScalarField(np.zeros((fast_grid.n, fast_grid.n)), fast_grid, LAM)
+        field = ScalarField(np.zeros((fast_grid.n, fast_grid.n)), fast_grid)
         assert np.array_equal(intensity(field), np.zeros((fast_grid.n, fast_grid.n)))
         assert power(field) == 0.0
 
     def test_global_phase_invariance(self, fast_grid):
         field = lg_mode(fast_grid, 1, W0, LAM)
-        rotated = ScalarField(np.exp(0.7j) * field.samples, fast_grid, LAM)
+        rotated = ScalarField(np.exp(0.7j) * field.samples, fast_grid)
         assert np.allclose(intensity(rotated), intensity(field), atol=1e-15)
 
     def test_power_scales_quadratically(self, fast_grid):
         field = lg_mode(fast_grid, 1, W0, LAM)
-        half = ScalarField(0.5 * field.samples, fast_grid, LAM)
+        half = ScalarField(0.5 * field.samples, fast_grid)
         assert abs(power(half) - 0.25) < 1e-12
 
 
@@ -426,7 +447,7 @@ def test_resolution_stability():
         aperture = ApertureSpec(TRIANGLE, side)
         box = aperture_box(grid, aperture)
         field = apply_mask(lg_mode(grid, 1, W0, LAM, box), aperture_mask(grid, aperture, box))
-        out = far_field(field, F)
+        out = far_field(field)
         img = intensity(out)
         peaks = find_peaks(img, 0.3, 2.0 * out.grid.pitch, out.grid)
         positions[n] = sorted(map(tuple, peaks.peaks[:, :2].tolist()))
