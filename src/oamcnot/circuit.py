@@ -131,6 +131,9 @@ class Detect:
 Statement = Source | Hwp | MziCnot | Polarizer | TriangleAperture | Detect
 
 
+_EMPTY = "empty circuit: missing SOURCE statement"
+
+
 def _placement_error(before: Sequence[Statement], kind: type | None) -> str | None:
     """Why a statement of type ``kind`` cannot follow ``before``, a prefix
     that passed this check, or None when it can.  ``kind`` None is an
@@ -156,9 +159,11 @@ class Circuit:
     statements: tuple[Statement, ...]
 
     def __post_init__(self) -> None:
+        # parse builds its Circuit without this, having checked each
+        # statement as it read it: what is set or checked here, it must match
         object.__setattr__(self, "statements", tuple(self.statements))
         if not self.statements:
-            raise ValueError("empty circuit: missing SOURCE statement")
+            raise ValueError(_EMPTY)
         before: list[Statement] = []
         for stmt in self.statements:
             message = _placement_error(before, type(stmt))
@@ -286,10 +291,11 @@ def parse(text: str) -> Circuit:
             value, col = found[exc.parameter]
             raise ParseError(line_no, col, str(exc)) from None
 
-    try:
-        return Circuit(tuple(statements))
-    except ValueError as exc:  # only an empty circuit is left to reject
-        raise ParseError(1, 1, str(exc)) from None
+    if not statements:
+        raise ParseError(1, 1, _EMPTY)
+    circuit = object.__new__(Circuit)  # each placement is checked above, not again
+    object.__setattr__(circuit, "statements", tuple(statements))
+    return circuit
 
 
 def format_number(x: float) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .wavefield import (
     aperture_box,
     aperture_mask,
     check_mode,
+    factor_tail_bound,
     far_field,
     intensity,
     lg_mode,
@@ -58,6 +60,11 @@ AMBIGUITY_MARGIN = 0.05
 TIE_FRACTION = 1e-9
 #: Side of the first camera window tried, in pixels.
 FIRST_WINDOW = 64
+#: The largest |ell| whose first window is tried against the mode's factor
+#: bound.  Its looseness grows with |ell| (1.3 and 1.6 times the summed
+#: bound at |ell| = 1 and 2): at the reference optics it proves the first
+#: window at |ell| <= 1 and not at 2, where it would only add its cost.
+FACTOR_BOUND_MAX_CHARGE = 1
 
 # An ideal lattice for a positive charge points this far counterclockwise
 # from the aperture vertex direction (calibrated against the wave engine).
@@ -251,7 +258,9 @@ def default_min_separation(aperture_size: float, far_pitch: float) -> float:
     )
 
 
-def render_image(field: ScalarField) -> tuple[np.ndarray, Grid]:
+def render_image(
+    field: ScalarField, factor_bound: Callable[[int], float] | None = None
+) -> tuple[np.ndarray, Grid]:
     """Camera image of a masked field through the lens of ``FOCAL_LENGTH``.
 
     Returns the far-field intensity on a centred window whose tail bound
@@ -264,13 +273,18 @@ def render_image(field: ScalarField) -> tuple[np.ndarray, Grid]:
     every peak candidate then lie inside, and a window edge pixel's
     outside neighbors are below threshold, so ``find_peaks`` finds the
     same peaks in the window as in the whole frame.
+    A pure mode's ``factor_bound`` (``factor_tail_bound``), never below the
+    summed bound but for rounding the margin covers, is tried on the first
+    window before the field's variation is summed: the same width either way.
     """
     n = field.grid.n
-    bound = window_tail_bound(field)
     far = far_field(field, FIRST_WINDOW)
     img = intensity(far)
     top = THRESHOLD_FRAC * float(img.max())
-    # the margin covers the rounding of the bound and of the transform
+    # the margin covers the rounding of either bound and of the transform
+    if factor_bound is not None and factor_bound(FIRST_WINDOW) ** 2 * (1.0 + 1e-9) < top:
+        return img, far.grid
+    bound = window_tail_bound(field)
     m = next((m for m in range(FIRST_WINDOW, n, 2) if bound(m) ** 2 * (1.0 + 1e-9) < top), n)
     if m > FIRST_WINDOW:
         far = far_field(field, m)
@@ -356,6 +370,9 @@ class Camera:
             if frame:
                 far = far_field(field)
                 rendered = intensity(far), far.grid
+            elif weights is None and abs(ell) <= FACTOR_BOUND_MAX_CHARGE:
+                waist = self.params.beam_waist
+                rendered = render_image(field, factor_tail_bound(self.grid, abs(ell), waist, box))
             else:
                 rendered = render_image(field)
             rendered[0].setflags(write=False)

@@ -57,6 +57,7 @@ from oamcnot.wavefield import (
     WAVELENGTH,
     aperture_box,
     aperture_mask,
+    factor_tail_bound,
     far_field,
     intensity,
     lg_mode,
@@ -224,6 +225,63 @@ def test_every_pixel_outside_a_window_is_within_its_bound(n, side_mm, waist_mm, 
     bound = window_tail_bound(field)
     for m in range(64, n, 2):
         assert beyond[m // 2 + 1] <= bound(m) ** 2, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([256, 512]),
+    ell=st.integers(-10, 10),
+    side_per_waist=st.floats(1.0, 8.0),
+    waist_mm=st.floats(0.4, 0.6),
+    radians=st.floats(-10.0, 10.0),
+)
+# the reference optics, where the factor bound proves the first window for
+# |ell| <= 1 and not for |ell| = 2; and the largest side, where the two are closest
+@example(n=1024, ell=1, side_per_waist=4.0, waist_mm=0.5, radians=0.0)
+@example(n=1024, ell=-2, side_per_waist=4.0, waist_mm=0.5, radians=0.0)
+@example(n=512, ell=0, side_per_waist=8.0, waist_mm=0.52, radians=1.04)
+# the summed bound just refuses the first window (bound^2 is 1.01 of the
+# threshold), so a looser test of the factor bound would take it
+@example(n=512, ell=1, side_per_waist=1.9054493875446403, waist_mm=0.4934466281331178,
+         radians=8.47430237391469)
+def test_the_cascade_proves_the_summed_bounds_window_with_the_factor_bound(
+    n, ell, side_per_waist, waist_mm, radians
+):
+    # factor_tail_bound is never below window_tail_bound, and it holds every
+    # pixel of the whole frame outside each window; so render_image, which
+    # tries it on the first window before it sums the variation, picks the
+    # window and image that the summed bound alone picks
+    grid = Grid(n, 8e-3)
+    waist = waist_mm * 1e-3
+    aperture = ApertureSpec(TRIANGLE, side_per_waist * waist, radians)
+    box = aperture_box(grid, aperture)
+    field = lg_mode(grid, ell, waist, WAVELENGTH, box, aperture_mask(grid, aperture, box))
+    factor, summed = factor_tail_bound(grid, ell, waist, box), window_tail_bound(field)
+    frame = intensity(fft_far_field(field))
+    beyond = np.maximum.accumulate(ring_maxima(frame)[::-1])[::-1]
+    for m in range(64, n, 2):
+        assert factor(m) >= summed(m), m
+        assert beyond[m // 2 + 1] <= factor(m) ** 2, m
+    img, far_grid = render_image(field, factor)
+    alone, alone_grid = render_image(field)
+    assert far_grid == alone_grid and np.array_equal(img, alone)
+    if factor(64) ** 2 * (1.0 + 1e-9) < THRESHOLD_FRAC * img.max():
+        assert far_grid.n == 64
+        assert beyond[33] < THRESHOLD_FRAC * frame.max()
+
+
+def test_the_factor_bound_is_the_summed_one_for_a_gaussian_on_the_whole_grid(params):
+    # With no mask and one factor (ell = 0) each step of the factor bound
+    # is an equality: the two differ only by rounding.
+    grid = Grid(256, 8e-3)
+    field = lg_mode(grid, 0, params.beam_waist, WAVELENGTH)
+    factor = factor_tail_bound(grid, 0, params.beam_waist)(64)
+    assert abs(factor - window_tail_bound(field)(64)) <= 1e-14 * factor
+
+
+def test_the_factor_bound_refuses_what_the_mode_refuses(params):
+    with pytest.raises(ValueError, match="exceeds the supported range"):
+        factor_tail_bound(Grid(256, 8e-3), 11, params.beam_waist)
 
 
 def test_the_bound_is_tight_for_a_plane_wave_just_outside_the_window():

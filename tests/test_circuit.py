@@ -209,7 +209,12 @@ class TestFormat:
     @settings(max_examples=200)
     @given(circuits())
     def test_round_trip_on_generated_circuits(self, circuit):
-        assert parse(format_circuit(circuit)) == circuit
+        parsed = parse(format_circuit(circuit))
+        assert parsed == circuit
+        # parse skips __post_init__, so its circuit must equal one built
+        # through it, attribute for attribute
+        rebuilt = Circuit(parsed.statements)
+        assert parsed == rebuilt and vars(parsed) == vars(rebuilt)
 
 
 class TestCircuitInvariants:
@@ -232,6 +237,25 @@ class TestCircuitInvariants:
         with pytest.raises(ValueError, match="after TRIAPERTURE"):
             Circuit((Source("V", 1), TriangleAperture(2.0, 10.0), optic, Detect()))
         assert Circuit((Source("V", 1), optic, TriangleAperture(2.0, 10.0), Detect()))
+
+    def test_parse_checks_each_statements_placement_once(self, monkeypatch):
+        # parse checks each statement as it reads it, and the circuit it
+        # returns is not checked again; one built directly still is
+        calls = []
+        real = circuit._placement_error
+
+        def counting(before, kind):
+            calls.append(kind)
+            return real(before, kind)
+
+        monkeypatch.setattr(circuit, "_placement_error", counting)
+        parsed = parse(REFERENCE_TEXT)
+        assert calls == [Source, MziCnot, Polarizer, TriangleAperture, Detect]
+        calls.clear()
+        assert Circuit(parsed.statements) == parsed
+        assert len(calls) == 5
+        with pytest.raises(ValueError, match="MZI_CNOT after TRIAPERTURE"):
+            Circuit((Source("V", 1), TriangleAperture(2.0), MziCnot()))
 
     @settings(max_examples=300)
     @given(st.lists(any_statement, max_size=6))

@@ -514,6 +514,35 @@ class TestOneCameraPerCommand:
         assert len(windows) == 4
 
 
+class TestTheFactorBoundFirst:
+    """A pure mode's first window is tried against its factor bound before
+    the field's variation is summed."""
+
+    def test_truth_table_at_the_reference_optics_sums_no_variation(self, monkeypatch):
+        # |l| = 1: the factor bound proves the 64^2 window
+        sums = counting_everywhere(monkeypatch, "window_tail_bound")
+        code, report = run_cli(["truth-table"])
+        assert code == EXIT_OK and "rows_ok=4/4" in report
+        assert sums == []
+
+    def test_a_read_builds_its_modes_factors_once(self):
+        # the mode and its factor bound share lg_mode's whole-grid factors
+        wavefield._grid_factors.cache_clear()
+        assert run_cli(["truth-table"])[0] == EXIT_OK
+        info = wavefield._grid_factors.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_a_charge_of_two_sums_it_and_tries_no_factor_bound(self, monkeypatch):
+        # |l| = 1 is proved by the factor bound alone; |l| = 2, where it
+        # cannot prove the first window, skips it and sums the variation
+        sums = counting_everywhere(monkeypatch, "window_tail_bound")
+        factors = counting_everywhere(monkeypatch, "factor_tail_bound")
+        code, report = run_cli(["readout-sweep", "--ell-min", "1", "--ell-max", "2"])
+        assert code == EXIT_OK and "status=ok" in report.splitlines()
+        assert len(sums) == 1
+        assert [args[1] for args in factors] == [1]
+
+
 FIELDS = [f.name for f in fields(RunConfig)]
 
 

@@ -168,6 +168,18 @@ class TestLgMode:
         got = lg_mode(grid, ell, W0, LAM).samples
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_the_kept_factors_are_those_of_the_grids_pitch(self):
+        # lg_mode keeps the last mode's whole-grid factors by n and pitch:
+        # a window's step, which Grid equality leaves out, is another key
+        grid = Grid(256, 8e-3)
+        window = Grid(256, 8e-3, step=np.nextafter(grid.pitch, 1.0))
+        wavefield._grid_factors.cache_clear()
+        on_grid = lg_mode(grid, 2, W0, LAM).samples
+        on_window = lg_mode(window, 2, W0, LAM).samples
+        assert not np.array_equal(on_window, on_grid)
+        wavefield._grid_factors.cache_clear()
+        assert np.array_equal(lg_mode(window, 2, W0, LAM).samples, on_window)
+
     def test_waist_bounds_reported(self, fast_grid):
         with pytest.raises(ValueError) as err:
             lg_mode(fast_grid, 1, 1e-8, LAM)
@@ -370,7 +382,7 @@ class TestFarField:
         field = lg_mode(fast_grid, 1, W0, WAVELENGTH)
         lam_f = WAVELENGTH * FOCAL_LENGTH
         assert far_field(field).grid.pitch == lam_f / fast_grid.window
-        assert wavefield._lens_scale(field) == fast_grid.pitch**2 / lam_f
+        assert wavefield._lens_scale(field.grid) == fast_grid.pitch**2 / lam_f
 
 
 @st.composite
